@@ -252,7 +252,7 @@ def _print_record(record: harness.RunRecord):
 
 
 def cmd_run(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = args.experiment
     if cfg.learning_rate is None:
         print("error: run requires --rate (or rate= in the config file)", file=sys.stderr)
         return 2
@@ -265,7 +265,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = args.experiment
     out = _out_dir(args)
     written = []
 
@@ -285,8 +285,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = _parse_synth(args.spec)
-    data, truth = harness.gen_synthetic(spec)
+    data, truth = harness.gen_synthetic(args.spec)
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -503,14 +502,23 @@ def main(argv=None) -> int:
     args_list = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     probe, _ = parser.parse_known_args(args_list)
-    if getattr(probe, "config", None) and probe.command in subparsers:
-        # install the file's values as defaults on the chosen subcommand so
-        # an explicit flag still overrides them (the subcommand re-applies
-        # its own defaults while parsing, so the top-level parser's defaults
-        # would be clobbered)
-        parser, subparsers = build_parser()
-        subparsers[probe.command].set_defaults(**read_config_file(probe.config))
-    args = parser.parse_args(args_list)
+    try:
+        if getattr(probe, "config", None) and probe.command in subparsers:
+            # install the file's values as defaults on the chosen subcommand so
+            # an explicit flag still overrides them (the subcommand re-applies
+            # its own defaults while parsing, so the top-level parser's defaults
+            # would be clobbered)
+            parser, subparsers = build_parser()
+            subparsers[probe.command].set_defaults(**read_config_file(probe.config))
+        args = parser.parse_args(args_list)
+        # a bad value is a usage error like a missing flag, not a crash
+        if args.command in subparsers:
+            args.experiment = _config_from_args(args)
+        elif args.command == "synth":
+            args.spec = _parse_synth(args.spec)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     return args.func(args)
 
 

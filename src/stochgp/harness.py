@@ -1,18 +1,22 @@
 """Experiment harness: configs, the epoch loop, grid search, and result files.
 
-A run is fully determined by its config (seeds included): data loading or
-synthesis, the train/test split, standardization, optimizer initialization,
-batch draws, per-epoch evaluation, best-epoch selection, and test RMSE all
-derive from the three seeds, so identical configs reproduce identical records.
+A run is fully determined by its config (seeds included) at a fixed BLAS
+thread count: data loading or synthesis, the train/test split,
+standardization, optimizer initialization, batch draws, per-epoch
+evaluation, best-epoch selection, and test RMSE all derive from the three
+seeds, so identical configs reproduce identical records on one thread
+setting. A different thread count can change the last digits, because BLAS
+then sums in another order.
 
 Per-epoch negative log marginal likelihood is reported normalized,
-(quadratic + logdet + n log 2pi) / (2n), computed exactly through the n x n
-covariance when the training set has at most 2000 rows and otherwise through
-the ridge form of the loss minimized over the weights on a fixed 2000-row
-subsample (the record's ``nll_kind`` says which). A run is marked diverged
-when a step errors out, the evaluated loss is non-finite, or the gradient
-norm at evaluation exceeds 1e12; diverged runs score +inf so a grid search
-skips them.
+(quadratic + logdet + n log 2pi) / (2n), always through the ridge form of the
+loss minimized over the weights, which equals the kernel-space value at a
+d x d cost. It is exact on training sets of at most 2000 rows and otherwise
+taken on a fixed 2000-row subsample (the record's ``nll_kind`` says which).
+One Cholesky factor of Z^T Z + s2 I gives both the NLL and the gradient norm
+of the divergence probe. A run is marked diverged when a step errors out,
+the evaluated loss is non-finite, or the gradient norm at evaluation exceeds
+1e12; diverged runs score +inf so a grid search skips them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stochgp._linalg import chol_lower, spd_inverse
+from stochgp._linalg import chol_lower, chol_solve, gram, logdet_from_chol, tri_inverse_lower
 from stochgp.data import (
     Dataset,
     epoch_batches,
@@ -44,14 +48,7 @@ from stochgp.features import (
     compose,
     rff_init,
 )
-from stochgp.objective import (
-    HyperParams,
-    exact_nll_oracle,
-    grad_theta_of_linearized,
-    info_matrix,
-    logdet_psd,
-    ridge_closed_form,
-)
+from stochgp.objective import HyperParams, _linearized_core
 from stochgp.optim import (
     MinimaxConfig,
     Schedule,
@@ -148,7 +145,7 @@ def gen_synthetic(spec: SynthSpec, draw_seed: int | None = None):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; identical configs give identical records."""
+    """Everything a run needs; identical configs give identical records at one BLAS thread count."""
 
     data_path: str | None = None
     target: str = "target"
@@ -299,24 +296,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(**doc)
 
 
-def _normalized_exact_nll(fmap, params, s2, X, y) -> float:
-    n = X.shape[0]
-    raw = exact_nll_oracle(fmap, params, s2, X, y)
-    return (raw + n * math.log(2 * math.pi)) / (2 * n)
-
-
-def _normalized_ridge_nll(fmap, params, s2, X, y) -> float:
-    # min over weights of the ridge-form loss equals the kernel-space value,
-    # at a d^3 cost instead of n^3
-    n, d = X.shape[0], fmap.output_dim
-    Z = fmap.forward(params, X).Z
-    w = ridge_closed_form(Z, y, s2)
-    r = Z @ w - y
-    F = Z.T @ Z + s2 * np.eye(d)
-    raw = float(r @ r) / s2 + float(w @ w) + logdet_psd(F) + (n - d) * math.log(s2)
-    return (raw + n * math.log(2 * math.pi)) / (2 * n)
-
-
 class _Evaluator:
     """Per-epoch NLL and divergence probe on a fixed evaluation view."""
 
@@ -333,27 +312,36 @@ class _Evaluator:
             self.X, self.y = X[rows], y[rows]
         self.fmap = fmap
 
-    def nll(self, theta: HyperParams) -> float:
-        try:
-            if self.kind == "exact":
-                return _normalized_exact_nll(
-                    self.fmap, theta.feature_params, theta.noise_variance, self.X, self.y
-                )
-            return _normalized_ridge_nll(
-                self.fmap, theta.feature_params, theta.noise_variance, self.X, self.y
-            )
-        except (ValueError, np.linalg.LinAlgError):
-            return math.inf
+    def nll(self, theta: HyperParams) -> tuple[float, float]:
+        """(normalized NLL, gradient norm) at theta from one factorization.
 
-    def grad_norm(self, theta: HyperParams) -> float:
+        The NLL is the ridge-form loss minimized over the weights, which
+        equals the kernel-space value at O(n d^2 + d^3); the gradient norm is
+        that of the linearized loss at theta's own weights with M = F^{-1},
+        F = Z^T Z + s2 I. Both read +inf when any step fails.
+        """
+        X, y = self.X, self.y
+        n, d = X.shape[0], self.fmap.output_dim
+        s2 = theta.noise_variance
         try:
-            F = info_matrix(self.fmap, theta, self.X)
-            g = grad_theta_of_linearized(
-                self.fmap, theta, self.X, self.y, spd_inverse(F), self.X.shape[0]
+            batch = self.fmap.forward(theta.feature_params, X)
+            Z = batch.Z
+            F = gram(Z)
+            F[np.diag_indices_from(F)] += s2
+            L = chol_lower(F, "evaluation information matrix")
+            w = chol_solve(L, Z.T @ y)
+            r = Z @ w - y
+            raw = (
+                float(r @ r) / s2
+                + float(w @ w)
+                + logdet_from_chol(L)
+                + (n - d) * math.log(s2)
             )
-            return g.norm()
+            Li = tri_inverse_lower(L)
+            g = _linearized_core(self.fmap, theta, batch, y, Li.T @ Li, n)
         except (ValueError, np.linalg.LinAlgError):
-            return math.inf
+            return math.inf, math.inf
+        return (raw + n * math.log(2 * math.pi)) / (2 * n), g.norm()
 
 
 def _draw_epoch(n: int, s: int, mode: str, rng: np.random.Generator):
@@ -415,8 +403,6 @@ def run_experiment(cfg: ExperimentConfig, rate: float | None = None) -> RunRecor
                         sigma_min=cfg.sigma_min,
                         coord_bound=cfg.coord_bound,
                         eig_bound=cfg.eig_bound,
-                        batch_size=cfg.batch_size,
-                        share_batch=cfg.share_batch,
                     )
                     mm_state, mm_dual = minimax_step(
                         fmap, mm_state, mm_dual, X, y, idx, idx2, mm_cfg
@@ -434,8 +420,8 @@ def run_experiment(cfg: ExperimentConfig, rate: float | None = None) -> RunRecor
                 break
         wall_ms = (time.perf_counter() - start) * 1000.0
 
-        nll = math.inf if failed else evaluator.nll(theta)
-        if math.isfinite(nll) and evaluator.grad_norm(theta) > GRAD_DIVERGENCE_NORM:
+        nll, grad_norm = (math.inf, math.inf) if failed else evaluator.nll(theta)
+        if grad_norm > GRAD_DIVERGENCE_NORM:
             nll = math.inf
         record.epochs.append({"epoch": epoch, "nll": nll, "wall_ms": wall_ms})
         if not math.isfinite(nll):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stochgp._linalg import chol_lower, gram, logdet_from_chol, spd_solve
+from stochgp._linalg import chol_lower, chol_solve, gram, logdet_from_chol, spd_solve
 from stochgp.features import FeatureBatch, FeatureMap, FeatureMapParams
 
 __all__ = [
@@ -197,7 +197,7 @@ def exact_nll_oracle(
     K = gram(Z.T)
     K[np.diag_indices_from(K)] += s2
     L = chol_lower(K, "kernel covariance")
-    quad = float(y @ spd_solve(K, y, "kernel covariance"))
+    quad = float(y @ chol_solve(L, y))
     return quad + logdet_from_chol(L)
 
 

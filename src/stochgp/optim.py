@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from stochgp._linalg import (
-    NotPositiveDefiniteError,
+    chol_lower,
     chol_solve,
     gram,
     spd_inverse,
@@ -124,8 +124,6 @@ class MinimaxConfig:
     sigma_min: float = 1e-3
     coord_bound: float = 1e6
     eig_bound: float = 1e6
-    batch_size: int = 32
-    share_batch: bool = False
 
     def __post_init__(self):
         if self.primal_rate < 0 or self.dual_rate < 0:
@@ -136,8 +134,6 @@ class MinimaxConfig:
             raise ValueError("sigma_min must be positive")
         if self.coord_bound <= 0 or self.eig_bound <= 0:
             raise ValueError("bounds must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -426,11 +422,7 @@ def scgd_step(
         # the convex tracker update keeps this positive definite in exact
         # arithmetic; restore the floor and retry before giving up
         F = _floor_spd(F, TRACKER_FLOOR)
-        L = try_chol_lower(F)
-        if L is None:
-            raise NotPositiveDefiniteError(
-                0, "tracked information matrix at iteration %d" % state.step
-            )
+        L = chol_lower(F, "tracked information matrix at iteration %d" % state.step)
 
     fb = fmap.forward(theta.feature_params, X[idx])
     Z = fb.Z

@@ -140,6 +140,30 @@ class TestRunCommand:
         assert code == 2
         assert "requires --rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--map", "mlp+rff", "--rff-dim", "999"], "rff_dim must be a positive even"),
+            (["--epochs", "0"], "epochs must be at least 1"),
+            (["--config", "{cfg}"], "unknown key 'momentum'"),
+        ],
+    )
+    def test_invalid_config_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("momentum = 0.9\n")
+        argv = [arg.format(cfg=cfg) for arg in argv]
+        out = tmp_path / "res"
+        code = main(["run", "--synth", SYNTH, "--rate", "1e-3", "--out", str(out)] + argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_invalid_synth_spec_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["synth", "--spec", "n=10,p=2,d=2", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "synth spec is missing sigma2" in capsys.readouterr().err
+
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("STOCHGP_RESULTS_DIR", str(target))

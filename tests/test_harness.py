@@ -3,14 +3,19 @@
 import json
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from stochgp._linalg import spd_inverse
 from stochgp.data import load_csv, split, standardize
+from stochgp.features import LinearMap, MLPMap, MLPSpec
 from stochgp.harness import (
     DEFAULT_GRID,
     ExperimentConfig,
     SynthSpec,
+    _Evaluator,
     assemble_table,
     build_feature_map,
     config_from_dict,
@@ -19,7 +24,12 @@ from stochgp.harness import (
     run_experiment,
     write_run,
 )
-from stochgp.objective import exact_nll_oracle
+from stochgp.objective import (
+    HyperParams,
+    exact_nll_oracle,
+    grad_theta_of_linearized,
+    info_matrix,
+)
 
 
 class TestSynthSpec:
@@ -291,6 +301,33 @@ class TestNllNormalization:
         )
         expected = (raw + n * math.log(2 * math.pi)) / (2 * n)
         assert rec.epochs[0]["nll"] == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mlp=st.booleans(),
+        n=st.integers(1, 30),
+        p=st.integers(1, 6),
+        hidden=st.integers(1, 6),
+        d=st.integers(1, 40),
+        s2=st.floats(0.2, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fused_pass_matches_kernel_oracle(self, mlp, n, p, hidden, d, s2, seed):
+        # one d x d factorization gives both numbers, d > n included; s2 >= 0.2
+        # keeps the normalized NLL away from zero so a relative bound is fair
+        rng = np.random.default_rng(seed)
+        fmap = MLPMap(MLPSpec(p, (hidden, d))) if mlp else LinearMap(p)
+        d = fmap.output_dim
+        theta = HyperParams(rng.normal(size=d), fmap.init_params(seed), s2)
+        X = rng.normal(size=(n, p))
+        y = rng.normal(size=n)
+        nll, grad_norm = _Evaluator(fmap, X, y, 0).nll(theta)
+
+        raw = exact_nll_oracle(fmap, theta.feature_params, s2, X, y)
+        assert nll == pytest.approx((raw + n * math.log(2 * math.pi)) / (2 * n), rel=1e-10)
+        M = spd_inverse(info_matrix(fmap, theta, X))
+        expected = grad_theta_of_linearized(fmap, theta, X, y, M, n).norm()
+        assert grad_norm == pytest.approx(expected, rel=1e-10)
 
 
 class TestGridSearch:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fdcheck import assert_grad_close, fd_grad, fd_grad_matrix, fd_grad_matrix_sym
+from stochgp._linalg import NotPositiveDefiniteError, symmetrize
 from stochgp.data import IndexBatch
 from stochgp.features import LinearMap, MLPMap, MLPSpec
 from stochgp.objective import (
@@ -531,6 +532,16 @@ class TestSCGD:
         out = scgd_step(fmap, state, X, y, np.array([0, 1]), a_t=1e-4, b_t=0.5)
         assert np.all(np.isfinite(out.theta.weights))
         assert out.step == 4
+
+    def test_tracker_past_repair_reports_failing_pivot(self):
+        # eigenvalues 1e20 and -1: after the floor the rebuilt matrix is still
+        # indefinite in floating point, so the step raises with LAPACK's pivot
+        fmap, theta, X, y = small_instance(35, n=6)
+        Q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2)))
+        state = SCGDState(theta, symmetrize((Q * np.array([1e20, -1.0])) @ Q.T), 6)
+        with pytest.raises(NotPositiveDefiniteError, match="iteration 6") as exc:
+            scgd_step(fmap, state, X, y, np.array([0, 1]), a_t=1e-3, b_t=0.9)
+        assert exc.value.pivot >= 1
 
     def test_noise_clamped_at_floor(self):
         fmap, theta, X, y = small_instance(33, n=6, sigma2=0.01)
