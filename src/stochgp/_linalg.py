@@ -114,23 +114,22 @@ def tri_inverse_lower(L: np.ndarray) -> np.ndarray:
 
 def spd_solve(A: np.ndarray, B: np.ndarray, context: str = "") -> np.ndarray:
     """Solve A X = B for SPD A. B may be a vector or a matrix."""
-    L = chol_lower(A, context)
-    b = _as_f64(B)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    X, info = _potrs(L, b, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("potrs failed with info %d" % info)
-    return X[:, 0] if squeeze else X
+    return chol_solve(chol_lower(A, context), B)
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
     return (A + A.T) * 0.5
 
 
-def gram(Z: np.ndarray) -> np.ndarray:
-    """Z^T Z as a full symmetric matrix (syrk + mirror)."""
+def gram(Z: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Z^T Z + shift I as a full symmetric matrix (syrk + mirror).
+
+    The shift is added to the diagonal after the mirror, so gram(Z, c)
+    equals gram(Z) with c added to its diagonal, bit for bit.
+    """
     U = _syrk(1.0, _as_f64(Z), trans=1, lower=0)
     # syrk fills the upper triangle only; mirror it
-    return np.triu(U) + np.triu(U, 1).T
+    G = np.triu(U) + np.triu(U, 1).T
+    if shift:
+        G[np.diag_indices_from(G)] += shift
+    return G

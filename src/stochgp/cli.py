@@ -516,10 +516,15 @@ def main(argv=None) -> int:
             args.experiment = _config_from_args(args)
         elif args.command == "synth":
             args.spec = _parse_synth(args.spec)
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FileNotFoundError as exc:
+        # a missing --data file, which only the run itself opens
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -326,9 +326,7 @@ class _Evaluator:
         try:
             batch = self.fmap.forward(theta.feature_params, X)
             Z = batch.Z
-            F = gram(Z)
-            F[np.diag_indices_from(F)] += s2
-            L = chol_lower(F, "evaluation information matrix")
+            L = chol_lower(gram(Z, s2), "evaluation information matrix")
             w = chol_solve(L, Z.T @ y)
             r = Z @ w - y
             raw = (
@@ -338,7 +336,10 @@ class _Evaluator:
                 + (n - d) * math.log(s2)
             )
             Li = tri_inverse_lower(L)
-            g = _linearized_core(self.fmap, theta, batch, y, Li.T @ Li, n)
+            M = Li.T @ Li
+            g = _linearized_core(
+                self.fmap, theta, batch, y, Z @ (M + M.T), float(np.trace(M)), n
+            )
         except (ValueError, np.linalg.LinAlgError):
             return math.inf, math.inf
         return (raw + n * math.log(2 * math.pi)) / (2 * n), g.norm()

@@ -139,10 +139,7 @@ def sample_info_term(
 def info_matrix(fmap: FeatureMap, theta: HyperParams, X: np.ndarray) -> np.ndarray:
     """Z^T Z + s2 I over the whole design matrix, the d x d information matrix."""
     s2 = _check_noise(theta.noise_variance)
-    Z = fmap.forward(theta.feature_params, X).Z
-    F = gram(Z)
-    F[np.diag_indices_from(F)] += s2
-    return F
+    return gram(fmap.forward(theta.feature_params, X).Z, s2)
 
 
 def logdet_psd(A: np.ndarray) -> float:
@@ -159,12 +156,10 @@ def full_loss(fmap: FeatureMap, theta: HyperParams, X: np.ndarray, y: np.ndarray
     d = fmap.output_dim
     Z = fmap.forward(theta.feature_params, X).Z
     resid = Z @ theta.weights - y
-    F = gram(Z)
-    F[np.diag_indices_from(F)] += s2
     return (
         float(resid @ resid) / s2
         + float(theta.weights @ theta.weights)
-        + logdet_psd(F)
+        + logdet_psd(gram(Z, s2))
         + (n - d) * np.log(s2)
     )
 
@@ -174,9 +169,7 @@ def ridge_closed_form(Z: np.ndarray, y: np.ndarray, sigma2: float) -> np.ndarray
     s2 = _check_noise(sigma2)
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    A = gram(Z)
-    A[np.diag_indices_from(A)] += s2
-    return spd_solve(A, Z.T @ y, "ridge solve")
+    return spd_solve(gram(Z, s2), Z.T @ y, "ridge solve")
 
 
 def exact_nll_oracle(
@@ -194,9 +187,7 @@ def exact_nll_oracle(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     Z = fmap.forward(feature_params, X).Z
-    K = gram(Z.T)
-    K[np.diag_indices_from(K)] += s2
-    L = chol_lower(K, "kernel covariance")
+    L = chol_lower(gram(Z.T, s2), "kernel covariance")
     quad = float(y @ chol_solve(L, y))
     return quad + logdet_from_chol(L)
 
@@ -210,9 +201,7 @@ def ridge_identity_check(V: np.ndarray, b: np.ndarray, lam: float) -> tuple[floa
     lam = _check_noise(lam)
     V = np.asarray(V, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    Kn = gram(V.T)
-    Kn[np.diag_indices_from(Kn)] += lam
-    lhs = float(b @ spd_solve(Kn, b, "dual ridge"))
+    lhs = float(b @ spd_solve(gram(V.T, lam), b, "dual ridge"))
     w = ridge_closed_form(V, b, lam)
     r = V @ w - b
     rhs = float(r @ r) / lam + float(w @ w)
@@ -241,7 +230,9 @@ def grad_theta_of_linearized(
         raise ValueError("M must be %d x %d, got %s" % (d, d, M.shape))
     X_batch = np.asarray(X_batch, dtype=np.float64)
     batch = fmap.forward(theta.feature_params, X_batch)
-    return _linearized_core(fmap, theta, batch, y_batch, M, n_total)
+    return _linearized_core(
+        fmap, theta, batch, y_batch, batch.Z @ (M + M.T), float(np.trace(M)), n_total
+    )
 
 
 def _linearized_core(
@@ -249,10 +240,18 @@ def _linearized_core(
     theta: HyperParams,
     batch: FeatureBatch,
     y_batch: np.ndarray,
-    M: np.ndarray,
+    ZM: np.ndarray,
+    trace_M: float,
     n_total: int,
 ) -> ThetaGrad:
-    """Gradient body shared with the optimizer steps, given precomputed features."""
+    """Gradient body shared with the optimizer steps, given precomputed features.
+
+    M enters only through ZM = Z (M + M^T), the s x d coupling term of the
+    feature upstream, and its trace, the noise-variance term. Callers form
+    them however suits their M: the step rules and the evaluator multiply by
+    an explicit M, ``scgd_step`` applies the tracker's inverse through its
+    Cholesky factor without ever forming it.
+    """
     s2 = _check_noise(theta.noise_variance)
     y_batch = np.asarray(y_batch, dtype=np.float64)
     n = int(n_total)
@@ -263,11 +262,11 @@ def _linearized_core(
     r = Z @ w - y_batch
 
     g_w = (2.0 / s2) * (Z.T @ r) + (2.0 * s / n) * w
-    upstream = (2.0 / s2) * r[:, None] * w[None, :] + Z @ (M + M.T)
+    upstream = (2.0 / s2) * r[:, None] * w[None, :] + ZM
     g_alpha = fmap.backward(theta.feature_params, batch, upstream)
     g_s2 = (
         -float(r @ r) / (s2 * s2)
         + s * (n - d) / (n * s2)
-        + s * float(np.trace(M)) / n
+        + s * trace_M / n
     )
     return ThetaGrad(g_w, g_alpha, g_s2)

@@ -25,7 +25,6 @@ sample terms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,14 +57,12 @@ __all__ = [
     "SCGDState",
     "Schedule",
     "bsgd_step",
-    "load_checkpoint",
     "minimax_batch_grads",
     "minimax_init",
     "minimax_sample_objective",
     "minimax_step",
     "project_dual_ball",
     "project_primal",
-    "save_checkpoint",
     "scgd_init",
     "scgd_step",
     "schedule_at",
@@ -223,12 +220,11 @@ def minimax_batch_grads(
 
     batch = fmap.forward(theta.feature_params, X_batch)
     M = (-penalty / norm) * B
-    g_theta = _linearized_core(fmap, theta, batch, y_batch, M, n).scaled(n / s)
+    g_theta = _linearized_core(
+        fmap, theta, batch, y_batch, batch.Z @ (M + M.T), float(np.trace(M)), n
+    ).scaled(n / s)
 
-    info_sum = gram(batch.Z)
-    info_sum[np.diag_indices_from(info_sum)] += s * theta.noise_variance / n
-
-    g_dual = (penalty / norm) * (A - (n / s) * info_sum)
+    info_sum = gram(batch.Z, s * theta.noise_variance / n)
 
     inner = float(np.sum(B * ((s / n) * A - info_sum)))
     g_A = (
@@ -236,25 +232,23 @@ def minimax_batch_grads(
         + (penalty / norm) * B
         - (penalty * (n / s) * inner / norm**3) * A
     )
-    return g_theta, symmetrize(g_A), g_dual
+    return g_theta, symmetrize(g_A), _dual_grad(A, info_sum, n, s, penalty)
 
 
-def _dual_grad_only(
-    fmap: FeatureMap,
-    zeta: AugmentedState,
-    X_batch: np.ndarray,
-    n_total: int,
-    penalty: float,
+def _dual_grad(
+    A: np.ndarray, info_sum: np.ndarray, n: int, s: int, penalty: float
 ) -> np.ndarray:
-    # ascent direction for B needs only the batch information sum
-    A = zeta.info_surrogate
-    norm = _surrogate_norm(A)
-    n = int(n_total)
-    s = X_batch.shape[0]
-    Z = fmap.forward(zeta.theta.feature_params, X_batch).Z
-    info_sum = gram(Z)
-    info_sum[np.diag_indices_from(info_sum)] += s * zeta.theta.noise_variance / n
-    return (penalty / norm) * (A - (n / s) * info_sum)
+    """Ascent direction for B: penalty * (A - (n/s) * batch info sum) / ||A||_F."""
+    return (penalty / _surrogate_norm(A)) * (A - (n / s) * info_sum)
+
+
+def _descend(theta: HyperParams, g: ThetaGrad, a: float, sigma_min: float) -> HyperParams:
+    """theta - a g, with the noise variance held at or above sigma_min^2."""
+    return HyperParams(
+        theta.weights - a * g.weights,
+        theta.feature_params.with_flat(theta.feature_params.flat - a * g.feature_params),
+        max(theta.noise_variance - a * g.noise_variance, sigma_min * sigma_min),
+    )
 
 
 def project_dual_ball(B: np.ndarray) -> np.ndarray:
@@ -351,25 +345,20 @@ def minimax_step(
     n = X.shape[0]
     idx1 = _indices(batch_primal)
     idx2 = _indices(batch_dual)
-    theta = zeta.theta
 
     g_theta, g_A, _ = minimax_batch_grads(
         fmap, zeta, dual, X[idx1], y[idx1], n, cfg.penalty
     )
     a = cfg.primal_rate
     raw = AugmentedState(
-        HyperParams(
-            theta.weights - a * g_theta.weights,
-            theta.feature_params.with_flat(
-                theta.feature_params.flat - a * g_theta.feature_params
-            ),
-            theta.noise_variance - a * g_theta.noise_variance,
-        ),
-        zeta.info_surrogate - a * g_A,
+        _descend(zeta.theta, g_theta, a, cfg.sigma_min), zeta.info_surrogate - a * g_A
     )
     zeta_next = project_primal(raw, cfg.sigma_min, cfg.coord_bound, cfg.eig_bound)
 
-    g_dual = _dual_grad_only(fmap, zeta_next, X[idx2], n, cfg.penalty)
+    s2 = zeta_next.theta.noise_variance
+    Z = fmap.forward(zeta_next.theta.feature_params, X[idx2]).Z
+    info_sum = gram(Z, idx2.size * s2 / n)
+    g_dual = _dual_grad(zeta_next.info_surrogate, info_sum, n, idx2.size, cfg.penalty)
     dual_next = project_dual_ball(dual + cfg.dual_rate * g_dual)
     return zeta_next, dual_next
 
@@ -412,9 +401,6 @@ def scgd_step(
     idx = _indices(batch)
     s = idx.size
     theta = state.theta
-    d = fmap.output_dim
-    s2 = theta.noise_variance
-    w = theta.weights
 
     F = state.tracked_info
     L = try_chol_lower(F)
@@ -426,25 +412,15 @@ def scgd_step(
 
     fb = fmap.forward(theta.feature_params, X[idx])
     Z = fb.Z
-    r = Z @ w - y[idx]
-
-    solved = chol_solve(L, Z.T).T  # row i holds (tracker^{-1} phi_i)^T
-    upstream = (2.0 / s2) * r[:, None] * w[None, :] + 2.0 * solved
-    g_alpha = fmap.backward(theta.feature_params, fb, upstream)
-    g_w = (2.0 / s2) * (Z.T @ r) + (2.0 * s / n) * w
+    # row i of Z (M + M^T) is 2 (tracker^{-1} phi_i)^T for M = tracker^{-1}
+    ZM = 2.0 * chol_solve(L, Z.T).T
     # the factor from the certificate path carries garbage above the diagonal
     Li = np.tril(tri_inverse_lower(L))
-    trace_inv = float(np.sum(Li * Li))
-    g_s2 = -float(r @ r) / (s2 * s2) + s * (n - d) / (n * s2) + s * trace_inv / n
-
-    theta_next = HyperParams(
-        w - a_t * g_w,
-        theta.feature_params.with_flat(theta.feature_params.flat - a_t * g_alpha),
-        max(s2 - a_t * g_s2, sigma_min * sigma_min),
-    )
+    g = _linearized_core(fmap, theta, fb, y[idx], ZM, float(np.sum(Li * Li)), n)
+    theta_next = _descend(theta, g, a_t, sigma_min)
 
     batch_info = (n / s) * gram(Z)
-    batch_info[np.diag_indices_from(batch_info)] += s2
+    batch_info[np.diag_indices_from(batch_info)] += theta.noise_variance
     tracked = symmetrize((1.0 - b_t) * F + b_t * batch_info)
     return SCGDState(theta_next, tracked, state.step + 1)
 
@@ -474,69 +450,8 @@ def bsgd_step(
     s = idx.size
 
     fb = fmap.forward(theta.feature_params, X[idx])
-    info_sum = gram(fb.Z)
-    info_sum[np.diag_indices_from(info_sum)] += s * theta.noise_variance / n
-    M = spd_inverse(info_sum)
-    g = _linearized_core(fmap, theta, fb, y[idx], M, n)
-    return HyperParams(
-        theta.weights - a_t * g.weights,
-        theta.feature_params.with_flat(
-            theta.feature_params.flat - a_t * g.feature_params
-        ),
-        max(theta.noise_variance - a_t * g.noise_variance, sigma_min * sigma_min),
+    M = spd_inverse(gram(fb.Z, s * theta.noise_variance / n))
+    g = _linearized_core(
+        fmap, theta, fb, y[idx], fb.Z @ (M + M.T), float(np.trace(M)), n
     )
-
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(
-    path,
-    *,
-    kind: str,
-    theta: HyperParams,
-    matrix: np.ndarray,
-    dual: np.ndarray | None = None,
-    step: int = 0,
-    rng_state: dict | None = None,
-) -> None:
-    """Serialize an optimizer state to a versioned npz blob with a text header.
-
-    ``matrix`` is the surrogate or tracker; ``dual`` only applies to the
-    penalty method; ``rng_state`` is a generator's bit-generator state dict.
-    """
-    header = json.dumps(
-        {"format": "stochgp-checkpoint", "version": CHECKPOINT_VERSION, "kind": kind}
-    )
-    np.savez(
-        path,
-        header=np.array(header),
-        weights=theta.weights,
-        feature_flat=theta.feature_params.flat,
-        noise_variance=np.float64(theta.noise_variance),
-        matrix=np.asarray(matrix, dtype=np.float64),
-        dual=np.zeros(0) if dual is None else np.asarray(dual, dtype=np.float64),
-        step=np.int64(step),
-        rng_state=np.array(json.dumps(rng_state) if rng_state else ""),
-    )
-
-
-def load_checkpoint(path) -> dict:
-    """Inverse of :func:`save_checkpoint`; feature params come back as a flat vector."""
-    with np.load(path) as blob:
-        header = json.loads(str(blob["header"]))
-        if header.get("format") != "stochgp-checkpoint":
-            raise ValueError("not a checkpoint file")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError("unsupported checkpoint version %r" % header.get("version"))
-        rng_raw = str(blob["rng_state"])
-        return {
-            "kind": header["kind"],
-            "weights": blob["weights"],
-            "feature_flat": blob["feature_flat"],
-            "noise_variance": float(blob["noise_variance"]),
-            "matrix": blob["matrix"],
-            "dual": blob["dual"] if blob["dual"].size else None,
-            "step": int(blob["step"]),
-            "rng_state": json.loads(rng_raw) if rng_raw else None,
-        }
+    return _descend(theta, g, a_t, sigma_min)

@@ -143,17 +143,22 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--map", "mlp+rff", "--rff-dim", "999"], "rff_dim must be a positive even"),
-            (["--epochs", "0"], "epochs must be at least 1"),
-            (["--config", "{cfg}"], "unknown key 'momentum'"),
+            (
+                ["--synth", SYNTH, "--map", "mlp+rff", "--rff-dim", "999"],
+                "rff_dim must be a positive even",
+            ),
+            (["--synth", SYNTH, "--epochs", "0"], "epochs must be at least 1"),
+            (["--synth", SYNTH, "--config", "{tmp}/bad.cfg"], "unknown key 'momentum'"),
+            (["--synth", SYNTH, "--config", "{tmp}/missing.cfg"], "missing.cfg"),
+            (["--data", "{tmp}/missing.csv"], "no such CSV file"),
         ],
     )
     def test_invalid_config_is_a_usage_error(self, tmp_path, capsys, argv, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("momentum = 0.9\n")
-        argv = [arg.format(cfg=cfg) for arg in argv]
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         out = tmp_path / "res"
-        code = main(["run", "--synth", SYNTH, "--rate", "1e-3", "--out", str(out)] + argv)
+        code = main(["run", "--rate", "1e-3", "--out", str(out)] + argv)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

@@ -4,7 +4,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from fdcheck import assert_grad_close, fd_grad
 from stochgp.features import (
@@ -301,6 +301,45 @@ class TestCompose:
         np.testing.assert_array_equal(
             params.flat[inner.n_params :], outer.init_params(2).flat
         )
+
+
+class TestBackwardProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["linear", "mlp", "mlp+rff"]),
+        n=st.integers(1, 5),
+        p=st.integers(1, 4),
+        hidden=st.integers(1, 5),
+        d=st.integers(1, 4),
+        half=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_backward_matches_finite_differences(self, kind, n, p, hidden, d, half, seed):
+        rng = np.random.default_rng(seed)
+        fmap = LinearMap(p) if kind == "linear" else MLPMap(MLPSpec(p, (hidden, d)))
+        if kind == "mlp+rff":
+            outer = rff_init(q=d, D=2 * half, u1=1.0, u2=1.0, seed=seed)
+            fmap = compose(outer, fmap)
+        flat = 0.5 * rng.normal(size=fmap.n_params)
+        X = rng.normal(size=(n, p))
+        U = rng.normal(size=(n, fmap.output_dim))
+        if kind != "linear":
+            # central differences straddling a ReLU kink are not derivatives
+            w1 = flat[: hidden * p].reshape(hidden, p)
+            b1 = flat[hidden * p : hidden * p + hidden]
+            assume(np.min(np.abs(X @ w1.T + b1)) > 1e-3)
+        params = fmap.params_from_flat(flat)
+        grad, g_inputs = fmap.backward_with_inputs(params, fmap.forward(params, X), U)
+
+        def of_inputs(x):
+            return float(np.sum(U * fmap.forward(params, x.reshape(n, p)).Z))
+
+        for analytic, numeric, label in (
+            (grad, fd_grad(upstream_scalar(fmap, X, U), flat), "parameters"),
+            (g_inputs, fd_grad(of_inputs, X.ravel()), "inputs"),
+        ):
+            floor = 1e-4 * max(1.0, float(np.max(np.abs(numeric), initial=0.0)))
+            assert_grad_close(analytic, numeric, floor=floor, label="%s %s" % (kind, label))
 
 
 class TestForwardRecomputationInvariant:

@@ -284,6 +284,49 @@ class TestRunExperiment:
         assert abs(scgd_best - full_best) <= 0.05
 
 
+# best_nll and best weights of three two-epoch runs. They pin the arithmetic of
+# the step rules: a change that keeps it reproduces them to rounding, and one
+# that alters it must say how the records moved and record them again
+GOLDEN_SPEC = SynthSpec(n=40, p=2, d=3, sigma2=0.5, map_kind="mlp", mlp_hidden=4, seed=11)
+GOLDEN = {
+    "minimax": (
+        1e-3,
+        1.4267318954979302,
+        [0.019446655624223787, 0.16361459488596514, 0.09320435373882026, -0.10728156568346277],
+    ),
+    "scgd": (
+        1e-2,
+        1.3883244384545794,
+        [0.04197728394762015, -0.1044223820442155, 0.31952060253504594, -0.15598958557470935],
+    ),
+    "bsgd": (
+        1e-2,
+        1.3401169101310375,
+        [0.032231765915163496, -0.12240821421173759, 0.3325062237535988, -0.16516042756120763],
+    ),
+}
+
+
+class TestGoldenRecords:
+    @pytest.mark.parametrize("opt", sorted(GOLDEN))
+    def test_records_are_unchanged(self, opt):
+        rate, nll, weights = GOLDEN[opt]
+        cfg = ExperimentConfig(
+            synth=GOLDEN_SPEC,
+            feature_map="mlp",
+            mlp_hidden=3,
+            mlp_out=4,
+            optimizer=opt,
+            batch_size=8,
+            epochs=2,
+            learning_rate=rate,
+        )
+        rec = run_experiment(cfg)
+        assert not rec.diverged
+        assert rec.best_nll == pytest.approx(nll, rel=1e-12, abs=0)
+        np.testing.assert_allclose(rec.best_weights, weights, rtol=1e-12, atol=0)
+
+
 class TestNllNormalization:
     def test_reported_value_matches_direct_formula(self):
         cfg = _small_cfg(epochs=1, learning_rate=1e-300, optimizer="bsgd")

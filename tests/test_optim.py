@@ -2,8 +2,10 @@
 
 import itertools
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fdcheck import assert_grad_close, fd_grad, fd_grad_matrix, fd_grad_matrix_sym
 from stochgp._linalg import NotPositiveDefiniteError, symmetrize
@@ -24,14 +26,12 @@ from stochgp.optim import (
     SCGDState,
     Schedule,
     bsgd_step,
-    load_checkpoint,
     minimax_batch_grads,
     minimax_init,
     minimax_sample_objective,
     minimax_step,
     project_dual_ball,
     project_primal,
-    save_checkpoint,
     scgd_init,
     scgd_step,
     schedule_at,
@@ -340,6 +340,56 @@ class TestProjectPrimal:
             assert vals[0] >= s2 - 1e-10
             assert vals[-1] <= 400.0 + 1e-8
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        sigma_min=st.floats(1e-3, 0.5),
+        noise_frac=st.floats(-3.0, 0.999),
+        coord_bound=st.floats(0.5, 1e3),
+        eig_bound=st.floats(0.5, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_projection_is_feasible_and_idempotent(
+        self, d, sigma_min, noise_frac, coord_bound, eig_bound, seed
+    ):
+        # raw noise below the floor, as a primal step can leave it; the bounds
+        # stay above sigma_min^2, so the feasible set is never empty
+        rng = np.random.default_rng(seed)
+        fmap = MLPMap(MLPSpec(2, (3, d)))
+        params = fmap.params_from_flat(rng.normal(size=fmap.n_params) * 10 ** rng.uniform(0, 3))
+        theta = HyperParams(
+            rng.normal(size=d) * 10 ** rng.uniform(0, 3), params, noise_frac * sigma_min**2
+        )
+        A = rng.normal(size=(d, d)) * 10 ** rng.uniform(-2, 3.5)
+        bounds = dict(sigma_min=sigma_min, coord_bound=coord_bound, eig_bound=eig_bound)
+        out = project_primal(AugmentedState(theta, A), **bounds)
+
+        s2 = out.theta.noise_variance
+        assert s2 == sigma_min * sigma_min
+        assert np.all(np.abs(out.theta.weights) <= coord_bound)
+        assert np.all(np.abs(out.theta.feature_params.flat) <= coord_bound)
+        P = out.info_surrogate
+        np.testing.assert_array_equal(P, P.T)
+        vals = np.linalg.eigvalsh(P)
+        tol = 1e-9 * max(1.0, eig_bound)
+        assert vals[0] >= s2 - tol and vals[-1] <= eig_bound + tol
+
+        # flooring the noise before projecting, as the step rules do, is the same
+        floored = HyperParams(theta.weights, params, sigma_min * sigma_min)
+        same = project_primal(AugmentedState(floored, A), **bounds)
+        assert same.theta.noise_variance == s2
+        np.testing.assert_array_equal(same.info_surrogate, P)
+
+        again = project_primal(out, **bounds)
+        assert again.theta.noise_variance == s2
+        np.testing.assert_array_equal(again.theta.weights, out.theta.weights)
+        np.testing.assert_array_equal(
+            again.theta.feature_params.flat, out.theta.feature_params.flat
+        )
+        np.testing.assert_allclose(
+            again.info_surrogate, P, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(P))
+        )
+
 
 class TestMinimaxInit:
     def test_full_pass(self):
@@ -643,43 +693,6 @@ class TestOptimizerCoincidence:
             s_out.theta.feature_params.flat, b_out.feature_params.flat, rtol=1e-12, atol=1e-15
         )
         assert s_out.theta.noise_variance == pytest.approx(b_out.noise_variance, rel=1e-12)
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        fmap, theta, X, y = small_instance(40)
-        rng = np.random.default_rng(3)
-        A = feasible_surrogate(rng, 2, theta.noise_variance)
-        path = tmp_path / "state.npz"
-        save_checkpoint(
-            path,
-            kind="minimax",
-            theta=theta,
-            matrix=A,
-            dual=0.2 * np.eye(2),
-            step=17,
-            rng_state=rng.bit_generator.state,
-        )
-        back = load_checkpoint(path)
-        assert back["kind"] == "minimax"
-        np.testing.assert_array_equal(back["weights"], theta.weights)
-        np.testing.assert_array_equal(back["feature_flat"], theta.feature_params.flat)
-        assert back["noise_variance"] == theta.noise_variance
-        np.testing.assert_array_equal(back["matrix"], A)
-        np.testing.assert_array_equal(back["dual"], 0.2 * np.eye(2))
-        assert back["step"] == 17
-        assert back["rng_state"] == rng.bit_generator.state
-
-    def test_missing_dual_and_bad_file(self, tmp_path):
-        fmap, theta, X, y = small_instance(41)
-        path = tmp_path / "state.npz"
-        save_checkpoint(path, kind="scgd", theta=theta, matrix=np.eye(2), step=2)
-        back = load_checkpoint(path)
-        assert back["dual"] is None and back["rng_state"] is None
-        bad = tmp_path / "bad.npz"
-        np.savez(bad, header=np.array("{}"), weights=np.zeros(1))
-        with pytest.raises(ValueError, match="not a checkpoint"):
-            load_checkpoint(bad)
 
 
 class TestIndexBatchInterop:
