@@ -8,6 +8,8 @@ keeps the cubic work in a BLAS3 kernel with flat efficiency across sizes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
@@ -16,6 +18,8 @@ __all__ = [
     "chol_lower",
     "try_chol_lower",
     "chol_solve",
+    "diagonal",
+    "frobenius",
     "logdet_from_chol",
     "spd_inverse",
     "spd_solve",
@@ -117,19 +121,32 @@ def spd_solve(A: np.ndarray, B: np.ndarray, context: str = "") -> np.ndarray:
     return chol_solve(chol_lower(A, context), B)
 
 
+def frobenius(A: np.ndarray) -> float:
+    """Frobenius norm of a float64 array: one dot over its memory, as np.linalg.norm takes it."""
+    x = A.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def symmetrize(A: np.ndarray) -> np.ndarray:
     return (A + A.T) * 0.5
+
+
+def diagonal(A: np.ndarray) -> np.ndarray:
+    """Writable strided view of the diagonal of a contiguous square matrix."""
+    return A.ravel(order="K")[:: A.shape[0] + 1]
 
 
 def gram(Z: np.ndarray, shift: float = 0.0) -> np.ndarray:
     """Z^T Z + shift I as a full symmetric matrix (syrk + mirror).
 
-    The shift is added to the diagonal after the mirror, so gram(Z, c)
-    equals gram(Z) with c added to its diagonal, bit for bit.
+    The diagonal is syrk's diagonal plus the shift, so gram(Z, c) equals
+    gram(Z) with c added to its diagonal, bit for bit.
     """
-    U = _syrk(1.0, _as_f64(Z), trans=1, lower=0)
-    # syrk fills the upper triangle only; mirror it
-    G = np.triu(U) + np.triu(U, 1).T
-    if shift:
-        G[np.diag_indices_from(G)] += shift
+    G = _syrk(1.0, _as_f64(Z), trans=1, lower=0)
+    diag = diagonal(G)
+    top = diag + shift
+    # syrk leaves zeros below the diagonal, so this mirrors the upper triangle
+    # exactly and only doubles the diagonal, which is then overwritten
+    G += G.T
+    diag[...] = top
     return G

@@ -3,9 +3,10 @@
 CSV contract: first line is the header, comma separator, decimal point,
 UTF-8. The target column is selected by name or by zero-based position.
 Mini-batch indices are drawn uniformly with replacement so per-sample
-gradient terms stay i.i.d.; an epoch mode without replacement is available
-for the harness. Generators are never shared across workers, derive one per
-worker with fixed seed offsets.
+gradient terms stay i.i.d.; the harness draws the same way (and has an
+epoch mode without replacement) but skips IndexBatch, since its draws are in
+range by construction. Generators are never shared across workers, derive
+one per worker with fixed seed offsets.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "standardize",
     "split",
     "sample_batch",
-    "epoch_batches",
 ]
 
 
@@ -239,19 +239,3 @@ def sample_batch(n: int, s: int, rng: np.random.Generator) -> IndexBatch:
         raise ValueError("population size must be at least 1")
     idx = rng.integers(0, n, size=s, dtype=np.int64)
     return IndexBatch(idx, n, s)
-
-
-def epoch_batches(n: int, s: int, rng: np.random.Generator) -> list[IndexBatch]:
-    """One epoch of without-replacement batches: shuffle, then ceil(n/s) chunks.
-
-    The final chunk may be short. Every index appears exactly once across
-    the returned batches.
-    """
-    if s < 1:
-        raise ValueError("batch size must be at least 1")
-    perm = rng.permutation(n)
-    out = []
-    for start in range(0, n, s):
-        chunk = perm[start : start + s]
-        out.append(IndexBatch(chunk, n, chunk.shape[0]))
-    return out

@@ -16,7 +16,9 @@ so a stale cache is rejected instead of silently producing wrong gradients.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -36,6 +38,17 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=256)
+def _segments(layout) -> tuple[dict, int]:
+    """{name: (start, stop, shape)} for one layout, and the entries it covers."""
+    index, total = {}, 0
+    for name, offset, shape in layout:
+        size = math.prod(shape)
+        index[name] = (offset, offset + size, shape)
+        total += size
+    return index, total
+
+
 @dataclass(frozen=True)
 class FeatureMapParams:
     """Flat learnable parameter vector plus its segment layout.
@@ -53,12 +66,13 @@ class FeatureMapParams:
         flat = np.ascontiguousarray(np.asarray(self.flat, dtype=np.float64))
         if flat.ndim != 1:
             raise ValueError("flat parameter vector must be 1-d")
-        total = sum(int(np.prod(shape)) for _, _, shape in self.layout)
+        index, total = _segments(self.layout)
         if total != flat.shape[0]:
             raise ValueError(
                 "layout covers %d entries but flat has %d" % (total, flat.shape[0])
             )
         object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "_index", index)
 
     @property
     def n_params(self) -> int:
@@ -66,11 +80,11 @@ class FeatureMapParams:
 
     def get(self, name: str) -> np.ndarray:
         """View of one named segment, reshaped. Do not mutate."""
-        for seg_name, offset, shape in self.layout:
-            if seg_name == name:
-                size = int(np.prod(shape))
-                return self.flat[offset : offset + size].reshape(shape)
-        raise KeyError("no parameter segment named %r" % name)
+        try:
+            start, stop, shape = self._index[name]
+        except KeyError:
+            raise KeyError("no parameter segment named %r" % name) from None
+        return self.flat[start:stop].reshape(shape)
 
     def with_flat(self, flat: np.ndarray) -> "FeatureMapParams":
         return FeatureMapParams(flat, self.layout, self.version + 1)
@@ -312,8 +326,15 @@ class RFFMap(FeatureMap):
 
     def forward(self, params, X):
         X = self._check_input(X)
-        u1 = float(np.exp(params.flat[0]))
-        u2 = float(np.exp(params.flat[1]))
+        with np.errstate(over="ignore"):
+            u1 = float(np.exp(params.flat[0]))
+            u2 = float(np.exp(params.flat[1]))
+        if not (0.0 < u1 < math.inf and 0.0 < u2 < math.inf):
+            k = 0 if not 0.0 < u1 < math.inf else 1
+            raise ValueError(
+                "log u%d = %r puts the random-feature scale exp(log u%d) outside (0, inf)"
+                % (k + 1, float(params.flat[k]), k + 1)
+            )
         proj = X @ self.frequencies.T  # unit-scale projections
         args = proj / u1 + self.phases
         amp = np.sqrt(2.0 * u2 / self.feature_count)

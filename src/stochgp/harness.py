@@ -26,7 +26,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ import numpy as np
 from stochgp._linalg import chol_lower, chol_solve, gram, logdet_from_chol, tri_inverse_lower
 from stochgp.data import (
     Dataset,
-    epoch_batches,
     load_csv,
     sample_batch,
     split,
@@ -200,6 +199,10 @@ class ExperimentConfig:
             raise ValueError("schedule must be 'constant' or 'polynomial'")
         if self.batch_mode not in ("replacement", "shuffle"):
             raise ValueError("batch_mode must be 'replacement' or 'shuffle'")
+        # the projection settings; sigma_min also floors scgd and bsgd
+        MinimaxConfig(
+            0.0, self.dual_rate, self.penalty, self.sigma_min, self.coord_bound, self.eig_bound
+        )
 
     def dataset_label(self) -> str:
         if self.synth is not None:
@@ -345,11 +348,17 @@ class _Evaluator:
         return (raw + n * math.log(2 * math.pi)) / (2 * n), g.norm()
 
 
-def _draw_epoch(n: int, s: int, mode: str, rng: np.random.Generator):
+def _draw_epoch(n: int, s: int, mode: str, rng: np.random.Generator) -> list[np.ndarray]:
+    """One epoch of index batches, ceil(n/s) of them.
+
+    "replacement" makes the draws of data.sample_batch; "shuffle" cuts one
+    permutation into chunks, so every index appears once and the last chunk
+    may be short. Both are in range by construction, so no IndexBatch checks.
+    """
     if mode == "replacement":
-        count = -(-n // s)
-        return [sample_batch(n, s, rng).indices for _ in range(count)]
-    return [b.indices for b in epoch_batches(n, s, rng)]
+        return [rng.integers(0, n, size=s, dtype=np.int64) for _ in range(-(-n // s))]
+    perm = rng.permutation(n)
+    return [perm[start : start + s] for start in range(0, n, s)]
 
 
 def run_experiment(cfg: ExperimentConfig, rate: float | None = None) -> RunRecord:
@@ -379,6 +388,9 @@ def run_experiment(cfg: ExperimentConfig, rate: float | None = None) -> RunRecor
     if cfg.optimizer == "minimax":
         seed_idx = sample_batch(n, min(cfg.batch_size, n), rng).indices if cfg.streaming_init else None
         mm_state, mm_dual = minimax_init(fmap, theta, X, batch_indices=seed_idx)
+        mm_cfg = MinimaxConfig(
+            rate, cfg.dual_rate, cfg.penalty, cfg.sigma_min, cfg.coord_bound, cfg.eig_bound
+        )
     elif cfg.optimizer == "scgd":
         scgd_state = scgd_init(fmap, theta, X)
 
@@ -395,16 +407,10 @@ def run_experiment(cfg: ExperimentConfig, rate: float | None = None) -> RunRecor
                     idx2 = (
                         idx
                         if cfg.share_batch
-                        else sample_batch(n, len(idx), rng).indices
+                        else rng.integers(0, n, size=idx.size, dtype=np.int64)
                     )
-                    mm_cfg = MinimaxConfig(
-                        primal_rate=a_t,
-                        dual_rate=cfg.dual_rate,
-                        penalty=cfg.penalty,
-                        sigma_min=cfg.sigma_min,
-                        coord_bound=cfg.coord_bound,
-                        eig_bound=cfg.eig_bound,
-                    )
+                    if a_t != mm_cfg.primal_rate:  # every step under "polynomial"
+                        mm_cfg = replace(mm_cfg, primal_rate=a_t)
                     mm_state, mm_dual = minimax_step(
                         fmap, mm_state, mm_dual, X, y, idx, idx2, mm_cfg
                     )

@@ -15,12 +15,13 @@ that split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from stochgp._linalg import chol_lower, chol_solve, gram, logdet_from_chol, spd_solve
+from stochgp._linalg import chol_lower, chol_solve, diagonal, gram, logdet_from_chol, spd_solve
 from stochgp.features import FeatureBatch, FeatureMap, FeatureMapParams
 
 __all__ = [
@@ -55,10 +56,10 @@ class HyperParams:
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         if w.ndim != 1:
             raise ValueError("weights must be a 1-d vector, got shape %s" % (w.shape,))
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weights contain non-finite entries")
         s2 = float(self.noise_variance)
-        if not np.isfinite(s2):
+        if not math.isfinite(s2):
             raise ValueError("noise_variance is not finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "noise_variance", s2)
@@ -132,7 +133,7 @@ def sample_info_term(
     n = int(n_total)
     phi = fmap.forward(theta.feature_params, np.asarray(x, dtype=np.float64)[None, :]).Z[0]
     F = np.outer(phi, phi)
-    F[np.diag_indices_from(F)] += s2 / n
+    diagonal(F)[...] += s2 / n
     return F
 
 

@@ -31,8 +31,11 @@ from typing import Sequence
 import numpy as np
 
 from stochgp._linalg import (
+    NotPositiveDefiniteError,
     chol_lower,
     chol_solve,
+    diagonal,
+    frobenius,
     gram,
     spd_inverse,
     symmetrize,
@@ -75,7 +78,7 @@ def _square_f64(A: np.ndarray, d: int, name: str) -> np.ndarray:
     A = np.ascontiguousarray(np.asarray(A, dtype=np.float64))
     if A.shape != (d, d):
         raise ValueError("%s must be %d x %d, got %s" % (name, d, d, A.shape))
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("%s contains non-finite entries" % name)
     return A
 
@@ -131,6 +134,14 @@ class MinimaxConfig:
             raise ValueError("sigma_min must be positive")
         if self.coord_bound <= 0 or self.eig_bound <= 0:
             raise ValueError("bounds must be positive")
+        # both caps must leave room for the noise floor, or no state is feasible
+        floor = self.sigma_min * self.sigma_min
+        for name in ("coord_bound", "eig_bound"):
+            if getattr(self, name) < floor:
+                raise ValueError(
+                    "%s = %g is below sigma_min**2 = %g, so no state is feasible"
+                    % (name, getattr(self, name), floor)
+                )
 
 
 @dataclass(frozen=True)
@@ -159,14 +170,14 @@ def schedule_at(s: Schedule, t: int) -> tuple[float, float]:
     return s.a0 * float(t) ** -0.75, min(1.0, s.b0 * float(t) ** -0.5)
 
 
-def _indices(batch) -> np.ndarray:
-    if isinstance(batch, IndexBatch):
-        return batch.indices
-    return np.asarray(batch, dtype=np.int64)
+def _rows(A, batch) -> np.ndarray:
+    """Rows of A as float64 at a batch's indices (an IndexBatch or an index array)."""
+    idx = batch.indices if isinstance(batch, IndexBatch) else np.asarray(batch, dtype=np.int64)
+    return np.asarray(A, dtype=np.float64)[idx]
 
 
 def _surrogate_norm(A: np.ndarray) -> float:
-    norm = float(np.linalg.norm(A))
+    norm = frobenius(A)
     if norm == 0.0:
         raise ValueError("surrogate matrix is zero; its norm divides the penalty term")
     return norm
@@ -210,12 +221,26 @@ def minimax_batch_grads(
     block is symmetrized since A ranges over symmetric matrices; the dual
     block is penalty * (A - (n/s) * batch info sum) / ||A||_F.
     """
+    B = _square_f64(dual, zeta.theta.d, "dual")
+    X_batch = np.asarray(X_batch, dtype=np.float64)
+    n, s = int(n_total), X_batch.shape[0]
+    g_theta, g_A, info_sum = _primal_grads(fmap, zeta, B, X_batch, y_batch, n, penalty)
+    return g_theta, g_A, _dual_grad(zeta.info_surrogate, info_sum, n, s, penalty)
+
+
+def _primal_grads(
+    fmap: FeatureMap,
+    zeta: AugmentedState,
+    B: np.ndarray,
+    X_batch: np.ndarray,
+    y_batch: np.ndarray,
+    n: int,
+    penalty: float,
+) -> tuple[ThetaGrad, np.ndarray, np.ndarray]:
+    """(theta blocks, symmetrized surrogate block, batch info sum) at zeta."""
     theta = zeta.theta
     A = zeta.info_surrogate
-    B = _square_f64(dual, theta.d, "dual")
     norm = _surrogate_norm(A)
-    n = int(n_total)
-    X_batch = np.asarray(X_batch, dtype=np.float64)
     s = X_batch.shape[0]
 
     batch = fmap.forward(theta.feature_params, X_batch)
@@ -232,7 +257,7 @@ def minimax_batch_grads(
         + (penalty / norm) * B
         - (penalty * (n / s) * inner / norm**3) * A
     )
-    return g_theta, symmetrize(g_A), _dual_grad(A, info_sum, n, s, penalty)
+    return g_theta, symmetrize(g_A), info_sum
 
 
 def _dual_grad(
@@ -253,7 +278,7 @@ def _descend(theta: HyperParams, g: ThetaGrad, a: float, sigma_min: float) -> Hy
 
 def project_dual_ball(B: np.ndarray) -> np.ndarray:
     """Radial projection onto the unit Frobenius ball; interior points pass through."""
-    norm = float(np.linalg.norm(B))
+    norm = frobenius(B)
     if norm <= 1.0:
         return B
     return B / norm
@@ -284,15 +309,12 @@ def project_primal(
     s2 = min(max(theta.noise_variance, sigma_min * sigma_min), coord_bound)
     w = np.clip(theta.weights, -coord_bound, coord_bound)
     alpha = theta.feature_params
-    flat = alpha.flat
-    clipped = np.clip(flat, -coord_bound, coord_bound)
-    if not np.array_equal(clipped, flat):
-        alpha = alpha.with_flat(clipped)
+    alpha = alpha.with_flat(np.clip(alpha.flat, -coord_bound, coord_bound))
 
     A = symmetrize(zeta.info_surrogate)
     shifted = A.copy()
-    shifted[np.diag_indices_from(shifted)] -= s2
-    if try_chol_lower(shifted) is None or float(np.linalg.norm(A)) > eig_bound:
+    diagonal(shifted)[...] -= s2
+    if try_chol_lower(shifted) is None or frobenius(A) > eig_bound:
         vals, vecs = np.linalg.eigh(A)
         np.clip(vals, s2, eig_bound, out=vals)
         A = symmetrize((vecs * vals) @ vecs.T)
@@ -315,11 +337,8 @@ def minimax_init(
     if batch_indices is None:
         A = info_matrix(fmap, theta, X)
     else:
-        idx = _indices(batch_indices)
-        n = np.asarray(X).shape[0]
-        Z = fmap.forward(theta.feature_params, np.asarray(X, dtype=np.float64)[idx]).Z
-        A = (n / idx.size) * gram(Z)
-        A[np.diag_indices_from(A)] += theta.noise_variance
+        Z = fmap.forward(theta.feature_params, _rows(X, batch_indices)).Z
+        A = _batch_info(Z, len(X), theta.noise_variance)
     return AugmentedState(theta, A), np.zeros((d, d))
 
 
@@ -340,14 +359,10 @@ def minimax_step(
     ``batch_dual``. Callers wanting a single shared batch pass the same
     indices twice.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = X.shape[0]
-    idx1 = _indices(batch_primal)
-    idx2 = _indices(batch_dual)
-
-    g_theta, g_A, _ = minimax_batch_grads(
-        fmap, zeta, dual, X[idx1], y[idx1], n, cfg.penalty
+    n = len(X)
+    B = _square_f64(dual, zeta.theta.d, "dual")
+    g_theta, g_A, _ = _primal_grads(
+        fmap, zeta, B, _rows(X, batch_primal), _rows(y, batch_primal), n, cfg.penalty
     )
     a = cfg.primal_rate
     raw = AugmentedState(
@@ -356,16 +371,24 @@ def minimax_step(
     zeta_next = project_primal(raw, cfg.sigma_min, cfg.coord_bound, cfg.eig_bound)
 
     s2 = zeta_next.theta.noise_variance
-    Z = fmap.forward(zeta_next.theta.feature_params, X[idx2]).Z
-    info_sum = gram(Z, idx2.size * s2 / n)
-    g_dual = _dual_grad(zeta_next.info_surrogate, info_sum, n, idx2.size, cfg.penalty)
-    dual_next = project_dual_ball(dual + cfg.dual_rate * g_dual)
+    Z = fmap.forward(zeta_next.theta.feature_params, _rows(X, batch_dual)).Z
+    s = Z.shape[0]
+    info_sum = gram(Z, s * s2 / n)
+    g_dual = _dual_grad(zeta_next.info_surrogate, info_sum, n, s, cfg.penalty)
+    dual_next = project_dual_ball(B + cfg.dual_rate * g_dual)
     return zeta_next, dual_next
 
 
 def scgd_init(fmap: FeatureMap, theta: HyperParams, X: np.ndarray) -> SCGDState:
     """Start the tracker at the exactly assembled information matrix."""
     return SCGDState(theta, info_matrix(fmap, theta, X), 0)
+
+
+def _batch_info(Z: np.ndarray, n: int, noise_variance: float) -> np.ndarray:
+    """(n/s) Z^T Z + s2 I: the information matrix estimated from s batch rows."""
+    F = (n / Z.shape[0]) * gram(Z)
+    diagonal(F)[...] += noise_variance
+    return F
 
 
 def _floor_spd(F: np.ndarray, floor: float) -> np.ndarray:
@@ -395,33 +418,28 @@ def scgd_step(
         raise ValueError("averaging weight must lie in (0, 1]")
     if a_t < 0.0:
         raise ValueError("step size must be non-negative")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = X.shape[0]
-    idx = _indices(batch)
-    s = idx.size
+    n = len(X)
     theta = state.theta
 
     F = state.tracked_info
-    L = try_chol_lower(F)
-    if L is None:
+    try:
+        L = chol_lower(F)
+    except NotPositiveDefiniteError:
         # the convex tracker update keeps this positive definite in exact
         # arithmetic; restore the floor and retry before giving up
         F = _floor_spd(F, TRACKER_FLOOR)
         L = chol_lower(F, "tracked information matrix at iteration %d" % state.step)
 
-    fb = fmap.forward(theta.feature_params, X[idx])
+    fb = fmap.forward(theta.feature_params, _rows(X, batch))
     Z = fb.Z
     # row i of Z (M + M^T) is 2 (tracker^{-1} phi_i)^T for M = tracker^{-1}
     ZM = 2.0 * chol_solve(L, Z.T).T
-    # the factor from the certificate path carries garbage above the diagonal
-    Li = np.tril(tri_inverse_lower(L))
-    g = _linearized_core(fmap, theta, fb, y[idx], ZM, float(np.sum(Li * Li)), n)
+    # row-major: np.sum below adds in memory order, and records depend on it
+    Li = np.ascontiguousarray(tri_inverse_lower(L))
+    g = _linearized_core(fmap, theta, fb, _rows(y, batch), ZM, float(np.sum(Li * Li)), n)
     theta_next = _descend(theta, g, a_t, sigma_min)
 
-    batch_info = (n / s) * gram(Z)
-    batch_info[np.diag_indices_from(batch_info)] += theta.noise_variance
-    tracked = symmetrize((1.0 - b_t) * F + b_t * batch_info)
+    tracked = symmetrize((1.0 - b_t) * F + b_t * _batch_info(Z, n, theta.noise_variance))
     return SCGDState(theta_next, tracked, state.step + 1)
 
 
@@ -441,17 +459,15 @@ def bsgd_step(
     """
     if a_t < 0.0:
         raise ValueError("step size must be non-negative")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = X.shape[0]
-    idx = _indices(batch)
-    if idx.size == 0:
+    n = len(X)
+    X_batch = _rows(X, batch)
+    s = X_batch.shape[0]
+    if s == 0:
         raise ValueError("batch must be non-empty")
-    s = idx.size
 
-    fb = fmap.forward(theta.feature_params, X[idx])
+    fb = fmap.forward(theta.feature_params, X_batch)
     M = spd_inverse(gram(fb.Z, s * theta.noise_variance / n))
     g = _linearized_core(
-        fmap, theta, fb, y[idx], fb.Z @ (M + M.T), float(np.trace(M)), n
+        fmap, theta, fb, _rows(y, batch), fb.Z @ (M + M.T), float(np.trace(M)), n
     )
     return _descend(theta, g, a_t, sigma_min)

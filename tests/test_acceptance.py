@@ -14,6 +14,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from fdcheck import fd_grad, fd_grad_matrix, fd_grad_matrix_sym
 from stochgp.features import LinearMap, MLPMap, MLPSpec, rff_init
@@ -293,6 +294,7 @@ def test_04_full_batch_coincidence():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_05_small_batch_robustness_benchmark():
     # fixed 400-epoch budget on one synthetic linear-generator dataset
     # (n = 2048, 16 features, known noise), grid-searched constant rates:
@@ -469,6 +471,7 @@ def test_06_projection_and_feasibility_suite():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_07_step_cost_scaling():
     # per-step wall time against feature dimension at batch size 32, plus
     # per-step peak allocation against the d^2 working-set model

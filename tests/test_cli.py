@@ -151,6 +151,10 @@ class TestRunCommand:
             (["--synth", SYNTH, "--config", "{tmp}/bad.cfg"], "unknown key 'momentum'"),
             (["--synth", SYNTH, "--config", "{tmp}/missing.cfg"], "missing.cfg"),
             (["--data", "{tmp}/missing.csv"], "no such CSV file"),
+            (
+                ["--synth", SYNTH, "--sigma-min", "1.0", "--eig-bound", "0.5"],
+                "eig_bound = 0.5 is below sigma_min**2 = 1",
+            ),
         ],
     )
     def test_invalid_config_is_a_usage_error(self, tmp_path, capsys, argv, message):

@@ -6,7 +6,6 @@ import pytest
 from stochgp.data import (
     Dataset,
     IndexBatch,
-    epoch_batches,
     load_csv,
     sample_batch,
     split,
@@ -200,18 +199,3 @@ class TestSampleBatch:
     def test_index_batch_range_validation(self):
         with pytest.raises(ValueError, match="out of range"):
             IndexBatch(np.array([0, 5]), n=5, s=2)
-
-
-class TestEpochBatches:
-    def test_covers_every_index_once(self):
-        rng = np.random.default_rng(8)
-        batches = epoch_batches(23, 5, rng)
-        assert len(batches) == 5  # ceil(23/5)
-        allidx = np.concatenate([b.indices for b in batches])
-        np.testing.assert_array_equal(np.sort(allidx), np.arange(23))
-
-    def test_deterministic(self):
-        a = epoch_batches(12, 4, np.random.default_rng(1))
-        b = epoch_batches(12, 4, np.random.default_rng(1))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.indices, y.indices)

@@ -1,5 +1,7 @@
 """Feature map forward/backward checks against straight-line and FD oracles."""
 
+import warnings
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
@@ -75,6 +77,30 @@ class TestParamsLayout:
     def test_bad_layout_rejected(self):
         with pytest.raises(ValueError, match="layout covers"):
             FeatureMapParams(np.zeros(3), (("a", 0, (2,)),))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rff=st.booleans(),
+        p=st.integers(1, 5),
+        hidden=st.integers(1, 5),
+        d=st.integers(1, 5),
+        pairs=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        unknown=st.text(max_size=12),
+    )
+    def test_get_matches_layout_scan(self, rff, p, hidden, d, pairs, seed, unknown):
+        fmap = MLPMap(MLPSpec(p, (hidden, d)))
+        if rff:
+            fmap = compose(rff_init(q=d, D=2 * pairs, u1=1.0, u2=1.0, seed=seed), fmap)
+        flat = np.random.default_rng(seed).normal(size=fmap.n_params)
+        params = fmap.params_from_flat(flat).with_flat(flat)
+        for name, offset, shape in params.layout:
+            size = int(np.prod(shape))
+            assert np.array_equal(params.get(name), flat[offset : offset + size].reshape(shape))
+        assume(unknown not in {name for name, _, _ in params.layout})
+        with pytest.raises(KeyError) as exc:
+            params.get(unknown)
+        assert repr(unknown) in exc.value.args[0]
 
     def test_version_bumps_on_with_flat(self):
         fmap = RFFMap(2, 8, seed=0)
@@ -172,6 +198,19 @@ class TestMLP:
 
 
 class TestRFF:
+    @pytest.mark.parametrize("log_u", [800.0, -800.0, np.nan])
+    @pytest.mark.parametrize("k, name", [(0, "log u1"), (1, "log u2")])
+    def test_scale_outside_float_range_rejected(self, k, name, log_u):
+        # exp(800) overflows and exp(-800) underflows to 0; either would
+        # leave every feature constant or non-finite without a word
+        fmap = RFFMap(2, 4, seed=0)
+        flat = np.zeros(2)
+        flat[k] = log_u
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=name):
+                fmap.forward(fmap.params_from_flat(flat), np.ones((3, 2)))
+
     def test_deterministic_draw(self):
         a = RFFMap(3, 16, seed=4)
         b = RFFMap(3, 16, seed=4)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 
 from stochgp._linalg import spd_inverse
-from stochgp.data import load_csv, split, standardize
+from stochgp.data import load_csv, sample_batch, split, standardize
 from stochgp.features import LinearMap, MLPMap, MLPSpec
 from stochgp.harness import (
     DEFAULT_GRID,
     ExperimentConfig,
     SynthSpec,
+    _draw_epoch,
     _Evaluator,
     assemble_table,
     build_feature_map,
@@ -142,9 +144,40 @@ class TestExperimentConfig:
         # the width is only checked when random features are in use
         ExperimentConfig(synth=spec, feature_map="mlp", rff_dim=999)
 
+    @pytest.mark.parametrize("name", ["eig_bound", "coord_bound"])
+    def test_rejects_bound_below_noise_floor(self, name):
+        spec = SynthSpec(n=4, p=2, d=2, sigma2=1.0)
+        with pytest.raises(ValueError, match=r"%s = 0.5 is below sigma_min\*\*2 = 1" % name):
+            ExperimentConfig(synth=spec, sigma_min=1.0, **{name: 0.5})
+
     def test_default_grid(self):
         cfg = ExperimentConfig(synth=SynthSpec(n=4, p=2, d=2, sigma2=1.0))
         assert cfg.grid == DEFAULT_GRID
+
+
+class TestDrawEpoch:
+    def test_shuffle_covers_every_index_once(self):
+        batches = _draw_epoch(23, 5, "shuffle", np.random.default_rng(8))
+        assert len(batches) == 5  # ceil(23/5)
+        np.testing.assert_array_equal(np.sort(np.concatenate(batches)), np.arange(23))
+
+    @pytest.mark.parametrize("mode", ["shuffle", "replacement"])
+    def test_deterministic(self, mode):
+        a = _draw_epoch(12, 4, mode, np.random.default_rng(1))
+        b = _draw_epoch(12, 4, mode, np.random.default_rng(1))
+        for x, y in zip(a, b, strict=True):
+            assert np.array_equal(x, y)
+
+    def test_replacement_draws_are_sample_batch_draws(self):
+        # the harness skips IndexBatch but must consume the generator exactly
+        # as data.sample_batch does, so records stay reproducible
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        batches = _draw_epoch(50, 8, "replacement", rng_a)
+        assert len(batches) == 7
+        for batch in batches:
+            assert batch.dtype == np.int64
+            np.testing.assert_array_equal(batch, sample_batch(50, 8, rng_b).indices)
+        assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
 
 
 def _small_cfg(**overrides):
@@ -230,6 +263,26 @@ class TestRunExperiment:
         assert rec.epochs[-1]["nll"] == math.inf
         assert math.isnan(rec.test_rmse_marginal)
 
+    def test_rff_scale_overflow_is_recorded_as_diverged(self):
+        # minimax at this rate steps log u1 past ~709, where exp overflows
+        cfg = ExperimentConfig(
+            synth=SynthSpec(n=200, p=3, d=3, sigma2=0.3, seed=5),
+            feature_map="mlp+rff",
+            mlp_hidden=4,
+            mlp_out=3,
+            rff_dim=20,
+            batch_mode="shuffle",
+            batch_size=16,
+            optimizer="minimax",
+            learning_rate=0.1,
+            epochs=3,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = run_experiment(cfg)
+        assert rec.diverged
+        assert rec.best_nll == math.inf
+
     def test_large_train_set_switches_to_subsampled_nll(self):
         cfg = ExperimentConfig(
             synth=SynthSpec(n=2500, p=3, d=3, sigma2=0.5, seed=1),
@@ -290,38 +343,49 @@ class TestRunExperiment:
 GOLDEN_SPEC = SynthSpec(n=40, p=2, d=3, sigma2=0.5, map_kind="mlp", mlp_hidden=4, seed=11)
 GOLDEN = {
     "minimax": (
-        1e-3,
+        dict(optimizer="minimax", learning_rate=1e-3),
         1.4267318954979302,
         [0.019446655624223787, 0.16361459488596514, 0.09320435373882026, -0.10728156568346277],
     ),
     "scgd": (
-        1e-2,
+        dict(optimizer="scgd", learning_rate=1e-2),
         1.3883244384545794,
         [0.04197728394762015, -0.1044223820442155, 0.31952060253504594, -0.15598958557470935],
     ),
     "bsgd": (
-        1e-2,
+        dict(optimizer="bsgd", learning_rate=1e-2),
         1.3401169101310375,
         [0.032231765915163496, -0.12240821421173759, 0.3325062237535988, -0.16516042756120763],
+    ),
+    "scgd-mlp+rff": (
+        dict(optimizer="scgd", learning_rate=1e-2, feature_map="mlp+rff", rff_dim=4),
+        1.4247737088764565,
+        [-0.11980552221633975, 0.03585521101437786, -0.24383484570729513, 0.20175118251789922],
+    ),
+    # the primal rate decays every step, the surrogate starts from one batch
+    # and batches come from per-epoch shuffles
+    "minimax-polynomial-streaming-shuffle": (
+        dict(
+            optimizer="minimax",
+            learning_rate=1e-2,
+            schedule="polynomial",
+            streaming_init=True,
+            batch_mode="shuffle",
+        ),
+        1.6003676729102843,
+        [1.3290658440102785, 0.9640389995957478, -1.1767146870562215, 1.352931021447196],
     ),
 }
 
 
 class TestGoldenRecords:
-    @pytest.mark.parametrize("opt", sorted(GOLDEN))
-    def test_records_are_unchanged(self, opt):
-        rate, nll, weights = GOLDEN[opt]
-        cfg = ExperimentConfig(
-            synth=GOLDEN_SPEC,
-            feature_map="mlp",
-            mlp_hidden=3,
-            mlp_out=4,
-            optimizer=opt,
-            batch_size=8,
-            epochs=2,
-            learning_rate=rate,
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_records_are_unchanged(self, case):
+        overrides, nll, weights = GOLDEN[case]
+        base = dict(
+            synth=GOLDEN_SPEC, feature_map="mlp", mlp_hidden=3, mlp_out=4, batch_size=8, epochs=2
         )
-        rec = run_experiment(cfg)
+        rec = run_experiment(ExperimentConfig(**{**base, **overrides}))
         assert not rec.diverged
         assert rec.best_nll == pytest.approx(nll, rel=1e-12, abs=0)
         np.testing.assert_allclose(rec.best_weights, weights, rtol=1e-12, atol=0)

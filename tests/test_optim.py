@@ -77,6 +77,15 @@ class TestSchedule:
             schedule_at(Schedule("constant", 0.1, 0.5), 0)
 
 
+class TestMinimaxConfig:
+    @pytest.mark.parametrize("name", ["eig_bound", "coord_bound"])
+    def test_rejects_bound_below_noise_floor(self, name):
+        with pytest.raises(ValueError, match=r"%s = 0.5 is below sigma_min\*\*2 = 1" % name):
+            MinimaxConfig(primal_rate=1e-3, dual_rate=1e-2, sigma_min=1.0, **{name: 0.5})
+        # a bound equal to the floor leaves exactly one feasible noise level
+        MinimaxConfig(primal_rate=1e-3, dual_rate=1e-2, sigma_min=1.0, **{name: 1.0})
+
+
 class TestMinimaxSampleObjective:
     def test_zero_dual_drops_penalty(self):
         fmap, theta, X, y = small_instance(0)
