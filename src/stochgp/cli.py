@@ -237,7 +237,10 @@ def _out_dir(args) -> Path:
 
 def _print_record(record: harness.RunRecord):
     if record.diverged:
-        print("rate %g: diverged (NLL = inf)" % record.rate)
+        print(
+            "rate %g: diverged (NLL = inf) in epoch %d at step %d: %s"
+            % (record.rate, record.diverge_epoch, record.diverge_step, record.diverge_reason)
+        )
     else:
         print(
             "rate %g: best epoch %d, NLL %.6f, test RMSE %.6f (marginal) / %.6f (learned-w)"

@@ -2,6 +2,11 @@
 
 CSV contract: first line is the header, comma separator, decimal point,
 UTF-8. The target column is selected by name or by zero-based position.
+Quotes around a cell are stripped, whitespace around a number is ignored,
+blank lines are skipped, and ``#`` is an ordinary character, not a comment.
+Every other cell must be a finite number as numpy's parser reads it; forms
+that only Python's float() accepts (digit-group underscores such as
+``1_0``, non-ASCII digits) are errors. Errors name the line and column.
 Mini-batch indices are drawn uniformly with replacement so per-sample
 gradient terms stay i.i.d.; the harness draws the same way (and has an
 epoch mode without replacement) but skips IndexBatch, since its draws are in
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,17 +137,17 @@ def load_csv(path, target) -> Dataset:
         target: target column, by header name or zero-based position.
 
     The target column is removed from the features; row order is preserved.
-    Non-numeric or non-finite cells raise with the offending line and column
-    named.
+    The body is parsed in one vectorized pass; only when that pass fails or
+    finds a bad cell does a cell-by-cell scan run, to raise with the
+    offending line and column named.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError:
         raise FileNotFoundError("no such CSV file: %s" % path) from None
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError("empty dataset: %s has no header line" % path) from None
         header = [h.strip() for h in header]
@@ -160,37 +166,61 @@ def load_csv(path, target) -> Dataset:
                     "target column %r absent from header %r" % (target, header)
                 ) from None
 
-        rows = []
-        targets = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue  # tolerate trailing blank lines
-            if len(row) != len(header):
-                raise ValueError(
-                    "line %d has %d cells, header has %d" % (lineno, len(row), len(header))
+        with warnings.catch_warnings():
+            # a body of blank lines is reported as an empty dataset below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                table = np.loadtxt(
+                    fh, dtype=np.float64, delimiter=",", quotechar='"', comments=None, ndmin=2
                 )
-            parsed = []
-            for col, cell in enumerate(row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        "non-numeric cell at line %d, column %r: %r"
-                        % (lineno, header[col], cell)
-                    ) from None
-                if not math.isfinite(v):
-                    raise ValueError(
-                        "non-finite cell at line %d, column %r: %r"
-                        % (lineno, header[col], cell)
-                    )
-                parsed.append(v)
-            targets.append(parsed.pop(tcol))
-            rows.append(parsed)
+            except ValueError:
+                table = None
+        if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
+            fh.seek(0)
+            rows = csv.reader(fh)
+            next(rows)  # the header
+            table = _scan_cells(rows, header)
 
-    if not rows:
+    if not table.size:
         raise ValueError("empty dataset: %s has a header but no data rows" % path)
     names = tuple(h for i, h in enumerate(header) if i != tcol)
-    return Dataset(np.array(rows, dtype=np.float64), np.array(targets, dtype=np.float64), names)
+    return Dataset(np.delete(table, tcol, axis=1), table[:, tcol], names)
+
+
+def _scan_cells(rows, header: list[str]) -> np.ndarray:
+    """Cell-by-cell parse of csv rows, raising at the first bad cell or row.
+
+    Lines are numbered from 2 (the header is line 1). A cell is accepted when
+    Python's float() and numpy's parser agree on it: float() alone also takes
+    digit-group underscores and non-ASCII digits, which are rejected here.
+    A body numpy cannot split but the csv module can (lines ended by a bare
+    carriage return) loads here as it always did.
+    """
+    parsed_rows = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue  # tolerate blank lines
+        if len(row) != len(header):
+            raise ValueError(
+                "line %d has %d cells, header has %d" % (lineno, len(row), len(header))
+            )
+        parsed = []
+        for col, cell in enumerate(row):
+            try:
+                if "_" in cell or not cell.strip().isascii():
+                    raise ValueError
+                v = float(cell)
+            except ValueError:
+                raise ValueError(
+                    "non-numeric cell at line %d, column %r: %r" % (lineno, header[col], cell)
+                ) from None
+            if not math.isfinite(v):
+                raise ValueError(
+                    "non-finite cell at line %d, column %r: %r" % (lineno, header[col], cell)
+                )
+            parsed.append(v)
+        parsed_rows.append(parsed)
+    return np.array(parsed_rows, dtype=np.float64)
 
 
 def standardize(d: Dataset) -> tuple[Dataset, Scaler]:

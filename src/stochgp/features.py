@@ -253,20 +253,21 @@ class MLPMap(FeatureMap):
 class RFFMap(FeatureMap):
     """Paired random Fourier features for the Gaussian kernel.
 
-    With m = D / 2 shared unit-scale frequency rows w_1..w_m, the features
-    come in cos/sin pairs:
+    With m = D / 2 unit-scale frequency rows w_1..w_m, the features come in
+    cos/sin pairs:
 
         phi(z)_j     = sqrt(2 u2 / D) * cos(w_j^T z / u1)
         phi(z)_{j+m} = sqrt(2 u2 / D) * sin(w_j^T z / u1),   j < m.
 
-    The layout is stored as D rows: ``frequencies`` (D, q) is the m rows
-    stacked twice and ``phases`` (D,) is m zeros then m copies of -pi/2, so
-    ``forward`` evaluates cos(w_j^T z / u1 + beta_j) row by row and the sin
-    half comes from cos(a - pi/2) = sin(a). Pairing makes the self inner
-    product exact for every draw: phi(z)^T phi(z) = u2 (cos^2 + sin^2 summed
-    over m pairs). The cross inner product is
-    (u2 / m) * sum_j cos(w_j^T (z - z') / u1), whose expectation is
-    u2 * exp(-||z - z'||^2 / (2 u1^2)) whenever each w_j is N(0, I).
+    Only the m distinct rows are stored, as ``frequencies`` (m, q), and there
+    are no phases: ``forward`` projects once onto them and writes the cosines
+    and sines of the same arguments into the two halves of Z. ``backward``
+    needs no trigonometry, since d cos/da is minus the sin half of Z and
+    d sin/da is the cos half. Pairing makes the self inner product exact for
+    every draw: phi(z)^T phi(z) = u2 (cos^2 + sin^2 summed over m pairs). The
+    cross inner product is (u2 / m) * sum_j cos(w_j^T (z - z') / u1), whose
+    expectation is u2 * exp(-||z - z'||^2 / (2 u1^2)) whenever each w_j is
+    N(0, I).
 
     The m frequency rows are a quasi-Monte Carlo draw: scrambled Sobol
     points on [0, 1)^q (a power-of-two block, of which the first m are
@@ -308,9 +309,7 @@ class RFFMap(FeatureMap):
         sobol = qmc.Sobol(self.input_dim, scramble=True, rng=np.random.default_rng(seed))
         # a power-of-two block keeps the Sobol balance; (m - 1).bit_length() = ceil(log2 m)
         points = sobol.random_base2((m - 1).bit_length())[:m]
-        W = ndtri(0.5 + (1.0 - 1e-10) * (points - 0.5))
-        self.frequencies = np.vstack([W, W])
-        self.phases = np.concatenate([np.zeros(m), np.full(m, -0.5 * np.pi)])
+        self.frequencies = ndtri(0.5 + (1.0 - 1e-10) * (points - 0.5))
 
     @property
     def n_params(self) -> int:
@@ -335,25 +334,34 @@ class RFFMap(FeatureMap):
                 "log u%d = %r puts the random-feature scale exp(log u%d) outside (0, inf)"
                 % (k + 1, float(params.flat[k]), k + 1)
             )
-        proj = X @ self.frequencies.T  # unit-scale projections
-        args = proj / u1 + self.phases
-        amp = np.sqrt(2.0 * u2 / self.feature_count)
-        Z = amp * np.cos(args)
-        cache = {"proj": proj, "args": args, "u1": u1, "amp": amp}
+        proj = X @ self.frequencies.T  # unit-scale projections, one per pair
+        args = proj / u1
+        amp = math.sqrt(2.0 * u2 / self.feature_count)
+        m = proj.shape[1]
+        Z = np.empty((proj.shape[0], 2 * m))
+        cos_half, sin_half = Z[:, :m], Z[:, m:]
+        np.cos(args, out=cos_half)
+        cos_half *= amp
+        np.sin(args, out=sin_half)
+        sin_half *= amp
+        cache = {"proj": proj, "u1": u1}
         return FeatureBatch(Z, cache, params.version)
 
     def backward_with_inputs(self, params, batch, upstream):
         _check_cache(params, batch)
         U = np.asarray(upstream, dtype=np.float64)
-        proj, args = batch.cache["proj"], batch.cache["args"]
-        u1, amp = batch.cache["u1"], batch.cache["amp"]
-        sin_args = np.sin(args)
-        weighted = U * (amp * sin_args)
-        # d phi / d log u1 = amp * sin(args) * proj / u1 (the argument shrinks as u1 grows)
-        g_log_u1 = float(np.sum(weighted * proj) / u1)
+        proj, u1 = batch.cache["proj"], batch.cache["u1"]
+        m = proj.shape[1]
+        Z = batch.Z
+        # d(amp cos a)/da = -(sin half of Z) and d(amp sin a)/da = +(cos half),
+        # so net is the gradient with respect to the arguments a = proj / u1
+        net = U[:, m:] * Z[:, :m]
+        net -= U[:, :m] * Z[:, m:]
+        # a shrinks as u1 grows: da / d log u1 = -proj / u1
+        g_log_u1 = -float(np.sum(net * proj)) / u1
         # phi scales with sqrt(u2), so d phi / d log u2 = phi / 2
-        g_log_u2 = 0.5 * float(np.sum(U * batch.Z))
-        g_inputs = -(weighted @ self.frequencies) / u1
+        g_log_u2 = 0.5 * float(np.sum(U * Z))
+        g_inputs = (net @ self.frequencies) / u1
         return np.array([g_log_u1, g_log_u2]), g_inputs
 
 

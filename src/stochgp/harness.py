@@ -16,7 +16,9 @@ taken on a fixed 2000-row subsample (the record's ``nll_kind`` says which).
 One Cholesky factor of Z^T Z + s2 I gives both the NLL and the gradient norm
 of the divergence probe. A run is marked diverged when a step errors out,
 the evaluated loss is non-finite, or the gradient norm at evaluation exceeds
-1e12; diverged runs score +inf so a grid search skips them.
+1e12; diverged runs score +inf so a grid search skips them. The record says
+which of the three happened (``diverge_reason``) and at which epoch and
+step count.
 """
 
 from __future__ import annotations
@@ -239,6 +241,11 @@ class RunRecord:
     best_weights: list[float] = field(default_factory=list)
     best_feature_flat: list[float] = field(default_factory=list)
     best_noise_variance: float = math.nan
+    # why, in which epoch, and after how many steps of the run it diverged;
+    # a failed evaluation counts at the epoch's last step
+    diverge_reason: str | None = None
+    diverge_epoch: int | None = None
+    diverge_step: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -248,6 +255,9 @@ class RunRecord:
             "rate": self.rate,
             "nll_kind": self.nll_kind,
             "diverged": self.diverged,
+            "diverge_reason": self.diverge_reason,
+            "diverge_epoch": self.diverge_epoch,
+            "diverge_step": self.diverge_step,
             "best": {
                 "epoch": self.best_epoch,
                 "nll": self.best_nll,
@@ -398,7 +408,7 @@ def run_experiment(cfg: ExperimentConfig, rate: float | None = None) -> RunRecor
     t = 0
     for epoch in range(1, cfg.epochs + 1):
         start = time.perf_counter()
-        failed = False
+        reason = None
         for idx in _draw_epoch(n, cfg.batch_size, cfg.batch_mode, rng):
             t += 1
             a_t, b_t = schedule_at(schedule, t)
@@ -422,17 +432,23 @@ def run_experiment(cfg: ExperimentConfig, rate: float | None = None) -> RunRecor
                     theta = scgd_state.theta
                 else:
                     theta = bsgd_step(fmap, theta, X, y, idx, a_t, cfg.sigma_min)
-            except (ValueError, np.linalg.LinAlgError):
-                failed = True
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                reason = "%s: %s" % (type(exc).__name__, exc)
                 break
         wall_ms = (time.perf_counter() - start) * 1000.0
 
-        nll, grad_norm = (math.inf, math.inf) if failed else evaluator.nll(theta)
-        if grad_norm > GRAD_DIVERGENCE_NORM:
-            nll = math.inf
+        nll = math.inf
+        if reason is None:
+            nll, grad_norm = evaluator.nll(theta)
+            if not math.isfinite(nll):
+                reason = "non-finite NLL"
+            elif grad_norm > GRAD_DIVERGENCE_NORM:
+                reason = "gradient norm %g above 1e12" % grad_norm
+                nll = math.inf
         record.epochs.append({"epoch": epoch, "nll": nll, "wall_ms": wall_ms})
-        if not math.isfinite(nll):
+        if reason is not None:
             record.diverged = True
+            record.diverge_reason, record.diverge_epoch, record.diverge_step = reason, epoch, t
             break
         if best is None or nll < best[0]:
             best = (nll, epoch, theta)

@@ -25,6 +25,7 @@ sample terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,7 +44,7 @@ from stochgp._linalg import (
     try_chol_lower,
 )
 from stochgp.data import IndexBatch
-from stochgp.features import FeatureMap
+from stochgp.features import FeatureMap, FeatureMapParams
 from stochgp.objective import (
     HyperParams,
     ThetaGrad,
@@ -306,19 +307,62 @@ def project_primal(
     (an upper bound on the top eigenvalue) clears the eigenvalue cap.
     """
     theta = zeta.theta
-    s2 = min(max(theta.noise_variance, sigma_min * sigma_min), coord_bound)
-    w = np.clip(theta.weights, -coord_bound, coord_bound)
-    alpha = theta.feature_params
-    alpha = alpha.with_flat(np.clip(alpha.flat, -coord_bound, coord_bound))
+    return _project(
+        theta.weights,
+        theta.feature_params.flat,
+        theta.noise_variance,
+        zeta.info_surrogate,
+        theta.feature_params,
+        sigma_min,
+        coord_bound,
+        eig_bound,
+    )
 
-    A = symmetrize(zeta.info_surrogate)
+
+def _project(
+    weights: np.ndarray,
+    flat: np.ndarray,
+    noise_variance: float,
+    A: np.ndarray,
+    like: FeatureMapParams,
+    sigma_min: float,
+    coord_bound: float,
+    eig_bound: float,
+) -> AugmentedState:
+    """project_primal on raw blocks; ``like`` supplies the feature-map layout.
+
+    The blocks are checked once, on entry: np.clip would pull an infinite
+    coordinate back into the box, so a check after the projection would let
+    an overflowed step go on. From finite blocks every value below is
+    finite, so the projected state is assembled without checking it again.
+    """
+    s2 = max(noise_variance, sigma_min * sigma_min)
+    if not np.isfinite(weights).all():
+        raise ValueError("weights contain non-finite entries")
+    if not math.isfinite(s2):
+        raise ValueError("noise_variance is not finite")
+    A = _square_f64(A, weights.shape[0], "info_surrogate")
+    s2 = float(min(s2, coord_bound))
+    w = np.clip(weights, -coord_bound, coord_bound)
+    alpha = like.with_flat(np.clip(flat, -coord_bound, coord_bound))
+
+    A = symmetrize(A)
     shifted = A.copy()
     diagonal(shifted)[...] -= s2
     if try_chol_lower(shifted) is None or frobenius(A) > eig_bound:
         vals, vecs = np.linalg.eigh(A)
         np.clip(vals, s2, eig_bound, out=vals)
         A = symmetrize((vecs * vals) @ vecs.T)
-    return AugmentedState(HyperParams(w, alpha, s2), A)
+    theta = _unchecked(HyperParams, weights=w, feature_params=alpha, noise_variance=s2)
+    return _unchecked(AugmentedState, theta=theta, info_surrogate=A)
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass from fields already known valid, skipping __post_init__."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def minimax_init(
@@ -365,10 +409,18 @@ def minimax_step(
         fmap, zeta, B, _rows(X, batch_primal), _rows(y, batch_primal), n, cfg.penalty
     )
     a = cfg.primal_rate
-    raw = AugmentedState(
-        _descend(zeta.theta, g_theta, a, cfg.sigma_min), zeta.info_surrogate - a * g_A
+    theta = zeta.theta
+    # the step of _descend; _project checks it and clamps the noise
+    zeta_next = _project(
+        theta.weights - a * g_theta.weights,
+        theta.feature_params.flat - a * g_theta.feature_params,
+        theta.noise_variance - a * g_theta.noise_variance,
+        zeta.info_surrogate - a * g_A,
+        theta.feature_params,
+        cfg.sigma_min,
+        cfg.coord_bound,
+        cfg.eig_bound,
     )
-    zeta_next = project_primal(raw, cfg.sigma_min, cfg.coord_bound, cfg.eig_bound)
 
     s2 = zeta_next.theta.noise_variance
     Z = fmap.forward(zeta_next.theta.feature_params, _rows(X, batch_dual)).Z

@@ -1,7 +1,9 @@
 """Ingestion, standardization, splitting, and batch sampling checks."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from stochgp.data import (
     Dataset,
@@ -86,6 +88,40 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="empty dataset"):
             load_csv(path, "y")
 
+    def test_blank_lines_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(b"a,y\r\n\n\r\n\n")
+        with pytest.raises(ValueError, match="header but no data rows"):
+            load_csv(path, "y")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # '#' is not a comment marker
+            ("1,2\n#3,4\n", "non-numeric cell at line 3, column 'a': '#3'"),
+            # float() takes these two, numpy's parser does not
+            ("1,2\n\n3,1_0\n", "non-numeric cell at line 4, column 'y': '1_0'"),
+            ("\u0663,2\n", "non-numeric cell at line 2, column 'a': '\u0663'"),
+            # every row the same wrong width, so the vectorized pass reads a table
+            ("1,2,3\n4,5,6\n", "line 2 has 3 cells, header has 2"),
+            ("1\n4\n", "line 2 has 1 cells, header has 2"),
+        ],
+    )
+    def test_bad_body_names_line_and_column(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,y\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_csv(path, "y")
+        assert str(err.value) == message
+
+    def test_bare_carriage_returns_still_load(self, tmp_path):
+        # numpy's parser rejects \r-only line ends; the cell scan reads them as before
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"a,y\r1.5,2\r-0.0,4\r")
+        d = load_csv(path, "y")
+        assert d.features.tobytes() == np.array([[1.5], [-0.0]]).tobytes()
+        np.testing.assert_array_equal(d.targets, [2.0, 4.0])
+
     def test_large_round_trip_bit_identical(self, tmp_path):
         # write 14,000 rows at full precision, read back, compare bitwise
         rng = np.random.default_rng(7)
@@ -102,6 +138,109 @@ class TestLoadCsv:
         d = load_csv(path, "target")
         assert np.array_equal(d.features, X)
         assert np.array_equal(d.targets, y)
+
+
+# cells the old float()-per-cell loader rejected, by the message it gave;
+# "1_0" and the Arabic-Indic digit are cells float() takes and numpy does not,
+# which the loader rejects as non-numeric too
+BAD_CELLS = {
+    "non-numeric": ["abc", "1.2.3", "", "1_0", "\u0663", "0x10", "1e", "--1", "#1", "1 2"],
+    "non-finite": ["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e999"],
+}
+
+
+@st.composite
+def numeric_cell(draw):
+    """(text written to the file, the cell as the csv module reads it back)."""
+    v = draw(
+        st.one_of(
+            st.floats(-1e300, 1e300, allow_nan=False),
+            st.integers(-(10**6), 10**6),
+            st.just(-0.0),
+        )
+    )
+    if isinstance(v, int):
+        text = str(v)
+    else:
+        text = draw(st.sampled_from([repr(v), "%.17e" % v, "%.17E" % v, "%.3g" % v]))
+    if not text.startswith("-") and draw(st.booleans()):
+        text = "+" + text
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    text = draw(pad) + text + draw(pad)
+    if draw(st.booleans()):
+        after = draw(st.sampled_from(["", " "]))  # csv keeps text after the closing quote
+        return '"%s"%s' % (text, after), text + after
+    return text, text
+
+
+@st.composite
+def csv_table(draw):
+    """A CSV file's text, its parsed cells, and at most one planted fault."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    header = ["c%d" % j for j in range(k)]
+    cells = [[draw(numeric_cell()) for _ in range(k)] for _ in range(n)]
+    fault = draw(st.sampled_from([None, "non-numeric", "non-finite", "short", "long"]))
+    if fault == "short" and k == 1:
+        fault = "long"  # a one-cell row cut short is a blank line
+    row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))
+    if fault in BAD_CELLS:
+        bad = draw(st.sampled_from(BAD_CELLS[fault]))
+        if k == 1 and bad == "":
+            bad = "abc"  # an empty one-cell row is a blank line
+        cells[row][col] = ('"%s"' % bad if draw(st.booleans()) else bad), bad
+    elif fault == "short":
+        del cells[row][col]
+    elif fault == "long":
+        cells[row].insert(col, ("1", "1"))
+
+    text = ",".join(" %s " % h if draw(st.booleans()) else h for h in header)
+    text += draw(st.sampled_from(["\n", "\r\n"]))
+    lineno, fault_line = 1, None
+    for i, r in enumerate(cells):
+        for _ in range(draw(st.integers(0, 2))):  # blank lines
+            text += draw(st.sampled_from(["\n", "\r\n"]))
+            lineno += 1
+        lineno += 1
+        if i == row:
+            fault_line = lineno
+        text += ",".join(raw for raw, _ in r)
+        if i < n - 1 or draw(st.booleans()):
+            text += draw(st.sampled_from(["\n", "\r\n"]))
+    if fault in BAD_CELLS:
+        message = "%s cell at line %d, column %r: %r" % (
+            fault, fault_line, header[col], cells[row][col][1]
+        )
+    elif fault is not None:
+        message = "line %d has %d cells, header has %d" % (fault_line, len(cells[row]), k)
+    else:
+        message = None
+    return text, header, cells, message
+
+
+class TestLoadCsvProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(table=csv_table(), by_name=st.booleans(), data=st.data())
+    def test_matches_per_cell_float_or_raises_the_old_message(
+        self, tmp_path_factory, table, by_name, data
+    ):
+        text, header, cells, message = table
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        tcol = data.draw(st.integers(0, len(header) - 1))
+        target = header[tcol] if by_name else tcol
+        if message is not None:
+            with pytest.raises(ValueError) as err:
+                load_csv(path, target)
+            assert str(err.value) == message
+            return
+        ref = np.array([[float(parsed) for _, parsed in r] for r in cells])
+        d = load_csv(path, target)
+        # bitwise, so -0.0 must stay -0.0
+        assert d.targets.tobytes() == ref[:, tcol].tobytes()
+        assert d.features.tobytes() == np.delete(ref, tcol, axis=1).tobytes()
+        assert d.names == tuple(h for j, h in enumerate(header) if j != tcol)
 
 
 class TestStandardize:

@@ -214,8 +214,12 @@ class TestRFF:
     def test_deterministic_draw(self):
         a = RFFMap(3, 16, seed=4)
         b = RFFMap(3, 16, seed=4)
+        assert a.frequencies.shape == (8, 3)  # one row per cos/sin pair
         assert np.array_equal(a.frequencies, b.frequencies)
-        assert np.array_equal(a.phases, b.phases)
+        X = np.random.default_rng(8).normal(size=(5, 3))
+        Za = a.forward(a.init_params(0), X).Z
+        assert np.array_equal(Za, b.forward(b.init_params(0), X).Z)
+        assert not np.array_equal(Za, RFFMap(3, 16, seed=5).forward(a.init_params(0), X).Z)
 
     def test_magnitude_doubling_scales_features(self):
         fmap = rff_init(q=2, D=32, u1=1.3, u2=1.0, seed=0)
@@ -291,6 +295,43 @@ class TestRFF:
         fmap = rff_init(q=q, D=2 * half, u1=u1, u2=u2, seed=seed)
         phi = fmap.forward(fmap.init_params(0), z).Z[0]
         assert abs(float(phi @ phi) - u2) <= 1e-12 * u2
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        half=st.integers(1, 40),
+        q=st.integers(1, 6),
+        n=st.integers(1, 8),
+        log_u1=st.floats(-0.5, 2.0),
+        log_u2=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_paired_layout_matches_reference_formulas(self, half, q, n, log_u1, log_u2, seed):
+        fmap = RFFMap(q, 2 * half, seed)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, q))
+        U = rng.normal(size=(n, 2 * half))
+        params = fmap.params_from_flat(np.array([log_u1, log_u2]))
+        batch = fmap.forward(params, X)
+        u1 = float(np.exp(log_u1))
+        amp = np.sqrt(2.0 * float(np.exp(log_u2)) / (2 * half))
+        args = (X @ fmap.frequencies.T) / u1
+        assert np.array_equal(batch.Z, amp * np.hstack([np.cos(args), np.sin(args)]))
+
+        # reference: every frequency row stored twice, a -pi/2 phase on the
+        # second copy, and the derivative taken through sin of the arguments
+        W = np.vstack([fmap.frequencies, fmap.frequencies])
+        proj = X @ W.T
+        phases = np.concatenate([np.zeros(half), np.full(half, -0.5 * np.pi)])
+        weighted = U * (amp * np.sin(proj / u1 + phases))
+        ref_u1 = float(np.sum(weighted * proj) / u1)
+        ref_u2 = 0.5 * float(np.sum(U * (amp * np.cos(proj / u1 + phases))))
+        ref_inputs = -(weighted @ W) / u1
+        grad, g_inputs = fmap.backward_with_inputs(params, batch, U)
+        # relative to the summed magnitudes, which bound every term's size
+        bound = np.abs(U) * amp
+        assert abs(grad[0] - ref_u1) <= 1e-13 * float(np.sum(bound * np.abs(proj)) / u1)
+        assert abs(grad[1] - ref_u2) <= 1e-13 * 0.5 * float(np.sum(bound))
+        assert np.all(np.abs(g_inputs - ref_inputs) <= 1e-13 * (bound @ np.abs(W)) / u1)
 
 
 class TestCompose:

@@ -283,6 +283,50 @@ class TestRunExperiment:
         assert rec.diverged
         assert rec.best_nll == math.inf
 
+    def test_diverge_reason_names_the_failing_step(self):
+        # the log-u1 overflow recipe above: the step that raises says why
+        cfg = ExperimentConfig(
+            synth=SynthSpec(n=200, p=3, d=3, sigma2=0.3, seed=5),
+            feature_map="mlp+rff",
+            mlp_hidden=4,
+            mlp_out=3,
+            rff_dim=20,
+            batch_mode="shuffle",
+            batch_size=16,
+            optimizer="minimax",
+            learning_rate=0.1,
+            epochs=3,
+        )
+        rec = run_experiment(cfg)
+        assert rec.diverge_reason.startswith("ValueError: ")
+        assert "log u1" in rec.diverge_reason
+        assert rec.diverge_epoch == len(rec.epochs)
+        # shuffle mode: ceil(180 / 16) = 12 steps an epoch
+        assert 12 * (rec.diverge_epoch - 1) < rec.diverge_step <= 12 * rec.diverge_epoch
+
+    def test_diverge_reason_for_exploding_gradient(self):
+        rec = run_experiment(_small_cfg(learning_rate=1e8, epochs=4))
+        assert rec.diverge_reason.startswith("gradient norm ")
+        assert rec.diverge_reason.endswith(" above 1e12")
+        assert float(rec.diverge_reason.split()[2]) > 1e12
+        # an evaluation failure counts at the epoch's last step: 108 rows, batch 8
+        assert rec.diverge_step == 14 * rec.diverge_epoch
+
+    def test_diverge_reason_for_non_finite_nll(self, monkeypatch):
+        monkeypatch.setattr(_Evaluator, "nll", lambda self, theta: (math.nan, 0.0))
+        rec = run_experiment(_small_cfg())
+        assert rec.diverged
+        assert (rec.diverge_reason, rec.diverge_epoch, rec.diverge_step) == (
+            "non-finite NLL",
+            1,
+            14,
+        )
+
+    def test_finished_run_has_no_diverge_reason(self):
+        doc = run_experiment(_small_cfg()).to_json_dict()
+        assert not doc["diverged"]
+        assert doc["diverge_reason"] is doc["diverge_epoch"] is doc["diverge_step"] is None
+
     def test_large_train_set_switches_to_subsampled_nll(self):
         cfg = ExperimentConfig(
             synth=SynthSpec(n=2500, p=3, d=3, sigma2=0.5, seed=1),
@@ -501,6 +545,8 @@ class TestWriteRun:
         doc = json.loads(json_path.read_text())
         assert doc["diverged"] is True
         assert doc["best"]["nll"] == math.inf
+        assert doc["diverge_reason"] == rec.diverge_reason
+        assert (doc["diverge_epoch"], doc["diverge_step"]) == (rec.diverge_epoch, rec.diverge_step)
 
 
 def _fake_doc(dataset, batch, opt, seed, nll, rate=1e-3):

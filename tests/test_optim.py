@@ -482,6 +482,44 @@ class TestMinimaxStep:
             B_exp = B_exp / np.linalg.norm(B_exp)
         np.testing.assert_allclose(B2, B_exp, atol=1e-12)
 
+    def test_primal_update_is_projected_descent(self):
+        # the single-check step equals project_primal of the checked raw point
+        fmap, theta, X, y = small_instance(31, n=12)
+        zeta, dual = minimax_init(fmap, theta, X)
+        dual = project_dual_ball(np.random.default_rng(32).normal(size=(2, 2)))
+        cfg = MinimaxConfig(primal_rate=0.3, dual_rate=0.1, sigma_min=0.7, coord_bound=2.0, eig_bound=4.0)
+        idx = [0, 3, 5, 5]
+        g_theta, g_A, _ = minimax_batch_grads(fmap, zeta, dual, X[idx], y[idx], 12, cfg.penalty)
+        a = cfg.primal_rate
+        raw = AugmentedState(
+            HyperParams(
+                theta.weights - a * g_theta.weights,
+                theta.feature_params.with_flat(theta.feature_params.flat - a * g_theta.feature_params),
+                max(theta.noise_variance - a * g_theta.noise_variance, cfg.sigma_min**2),
+            ),
+            zeta.info_surrogate - a * g_A,
+        )
+        want = project_primal(raw, cfg.sigma_min, cfg.coord_bound, cfg.eig_bound)
+        got, _ = minimax_step(fmap, zeta, dual, X, y, idx, [1, 2], cfg)
+        assert np.array_equal(got.theta.weights, want.theta.weights)
+        assert np.array_equal(got.theta.feature_params.flat, want.theta.feature_params.flat)
+        assert type(got.theta.noise_variance) is float
+        assert got.theta.noise_variance == want.theta.noise_variance
+        assert np.array_equal(got.info_surrogate, want.info_surrogate)
+        assert got.info_surrogate.flags.c_contiguous and got.theta.weights.flags.c_contiguous
+
+    def test_overflowed_step_is_rejected_not_clipped(self):
+        # np.clip would map an infinite weight onto the coordinate bound; the
+        # step must fail instead, as it did when every intermediate state was checked
+        fmap, theta, X, y = small_instance(33, n=8)
+        zeta, dual = minimax_init(fmap, theta, X)
+        cfg = MinimaxConfig(primal_rate=1e308, dual_rate=0.1)
+        with np.errstate(over="ignore"):
+            g_theta, _, _ = minimax_batch_grads(fmap, zeta, dual, X[:4], y[:4], 8, cfg.penalty)
+            assert not np.isfinite(theta.weights - 1e308 * g_theta.weights).all()
+            with pytest.raises(ValueError, match="weights contain non-finite entries"):
+                minimax_step(fmap, zeta, dual, X, y, [0, 1, 2, 3], [4, 5], cfg)
+
     def test_feasible_after_every_step(self):
         fmap, theta, X, y = small_instance(24, n=16)
         rng = np.random.default_rng(25)
