@@ -122,9 +122,25 @@ def spd_solve(A: np.ndarray, B: np.ndarray, context: str = "") -> np.ndarray:
 
 
 def frobenius(A: np.ndarray) -> float:
-    """Frobenius norm of a float64 array: one dot over its memory, as np.linalg.norm takes it."""
+    """Frobenius norm of a float64 array: one dot over its memory, as np.linalg.norm takes it.
+
+    Past about 1.3e154 the sum of squares overflows although the norm does
+    not; the norm is then taken again on the array scaled by its largest
+    entry, so it is right (and finite) for every finite array. The overflow
+    may raise, under np.errstate(over="raise"), or warn and give inf.
+    """
     x = A.ravel(order="K")
-    return math.sqrt(x.dot(x))
+    try:
+        sq = x.dot(x)
+    except FloatingPointError:
+        sq = math.inf
+    if sq != math.inf:
+        return math.sqrt(sq)
+    scale = float(np.abs(x).max())
+    if scale == math.inf:
+        return math.inf
+    x = x / scale
+    return scale * math.sqrt(x.dot(x))
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:

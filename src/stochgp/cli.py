@@ -2,8 +2,9 @@
 
 ``run`` executes one experiment at a fixed learning rate, ``grid`` sweeps a
 rate grid and keeps the best run, ``synth`` writes a synthetic dataset to
-CSV, ``table`` merges saved run files into a comparison table, and ``check``
-exercises the library's internal consistency identities.
+CSV, ``table`` merges saved run files into a comparison table (and says why
+each cell that reads "diverged" diverged), and ``check`` exercises the
+library's internal consistency identities.
 
 Every experiment flag can instead come from a ``key = value`` config file
 (``--config``); explicit command-line flags win over file values. Results go
@@ -328,6 +329,11 @@ def cmd_table(args) -> int:
     print("  ".join(col.ljust(w) for col, w in zip(header, widths)))
     for row in rows:
         print("  ".join(str(row[col]).ljust(w) for col, w in zip(header, widths)))
+    for label, batch_size, opt, counts in harness.divergence_reasons(docs):
+        why = "; ".join(
+            "%s (%d run%s)" % (reason, k, "" if k == 1 else "s") for reason, k in counts.items()
+        )
+        print("%s, batch %d, %s diverged: %s" % (label, batch_size, opt, why))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=header)

@@ -11,6 +11,11 @@ against finite differences in the test suite. Forward passes are pure
 functions of (params, inputs); the returned FeatureBatch carries whatever
 intermediates the backward pass needs, stamped with the parameter version
 so a stale cache is rejected instead of silently producing wrong gradients.
+
+Importing this module loads numpy only. ``RFFMap`` draws its frequencies
+with ``scipy.stats.qmc`` and ``scipy.special.ndtri``, which it imports when
+the first map is built: ``scipy.stats`` takes longer to import than a short
+linear or MLP run takes to train, so only a random-feature run pays for it.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 __all__ = [
     "FeatureMapParams",
@@ -276,7 +279,8 @@ class RFFMap(FeatureMap):
     point uniform on its own, so over the scramble every w_j is N(0, I) up
     to the 1e-10 tail clip and the kernel estimate stays unbiased; the
     points' low discrepancy makes a single draw far more accurate than iid
-    frequencies of the same width. The draw is fixed by ``seed``.
+    frequencies of the same width. The draw is fixed by ``seed``. The first
+    map built in a process imports ``scipy.stats`` and ``scipy.special``.
 
     Frequencies are divided by the length scale u1 at forward time, so u1
     stays differentiable while the draw itself is frozen. The learnable flat
@@ -305,6 +309,10 @@ class RFFMap(FeatureMap):
         self.seed = int(seed)
         self.init_u1 = float(init_u1)
         self.init_u2 = float(init_u2)
+        # imported here, not at the top: see the module docstring
+        from scipy.special import ndtri
+        from scipy.stats import qmc
+
         m = self.feature_count // 2
         sobol = qmc.Sobol(self.input_dim, scramble=True, rng=np.random.default_rng(seed))
         # a power-of-two block keeps the Sobol balance; (m - 1).bit_length() = ceil(log2 m)

@@ -18,7 +18,10 @@ of the divergence probe. A run is marked diverged when a step errors out,
 the evaluated loss is non-finite, or the gradient norm at evaluation exceeds
 1e12; diverged runs score +inf so a grid search skips them. The record says
 which of the three happened (``diverge_reason``) and at which epoch and
-step count.
+step count. Steps run under np.errstate(over="raise", invalid="raise",
+divide="raise"), so a floating-point overflow, invalid operation or division
+by zero in a step is such an error and names itself; underflow stays
+silent, and the evaluation, which reports any failure as +inf, runs outside.
 """
 
 from __future__ import annotations
@@ -30,12 +33,14 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from stochgp._linalg import chol_lower, chol_solve, gram, logdet_from_chol, tri_inverse_lower
 from stochgp.data import (
     Dataset,
+    Scaler,
     load_csv,
     sample_batch,
     split,
@@ -71,6 +76,7 @@ __all__ = [
     "build_feature_map",
     "config_from_dict",
     "default_results_dir",
+    "divergence_reasons",
     "gen_synthetic",
     "grid_search",
     "load_dataset",
@@ -371,24 +377,50 @@ def _draw_epoch(n: int, s: int, mode: str, rng: np.random.Generator) -> list[np.
     return [perm[start : start + s] for start in range(0, n, s)]
 
 
+class _Prepared(NamedTuple):
+    """What every rate of one config shares: the standardized split and the map."""
+
+    X: np.ndarray
+    y: np.ndarray
+    X_test: np.ndarray
+    test_targets: np.ndarray
+    scaler: Scaler
+    fmap: FeatureMap
+    evaluator: _Evaluator
+
+
+def _prepare(cfg: ExperimentConfig) -> _Prepared:
+    """Load or synthesize, split and standardize the data; build the map."""
+    data = load_dataset(cfg)
+    train_raw, test_raw = split(data, cfg.train_fraction, cfg.split_seed)
+    train, scaler = standardize(train_raw)
+    X, y = train.features, train.targets
+    fmap = build_feature_map(cfg, X.shape[1])
+    return _Prepared(
+        X,
+        y,
+        scaler.transform(test_raw).features,
+        test_raw.targets,
+        scaler,
+        fmap,
+        _Evaluator(fmap, X, y, cfg.split_seed),
+    )
+
+
 def run_experiment(cfg: ExperimentConfig, rate: float | None = None) -> RunRecord:
     """Execute one full run; see the module docstring for the protocol."""
     if rate is None:
         rate = cfg.learning_rate
     if rate is None:
         raise ValueError("no learning rate: set cfg.learning_rate or pass one")
+    return _train(cfg, _prepare(cfg), rate)
 
-    data = load_dataset(cfg)
-    train_raw, test_raw = split(data, cfg.train_fraction, cfg.split_seed)
-    train, scaler = standardize(train_raw)
-    X, y = train.features, train.targets
-    n = X.shape[0]
-    X_test = scaler.transform(test_raw).features
 
-    fmap = build_feature_map(cfg, X.shape[1])
-    d = fmap.output_dim
+def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
+    """Train at one rate on prepared data; nothing in ``prep`` is modified."""
+    X, y, fmap, evaluator = prep.X, prep.y, prep.fmap, prep.evaluator
+    n, d = X.shape[0], fmap.output_dim
     theta = HyperParams(np.zeros(d), fmap.init_params(cfg.init_seed), cfg.init_sigma2)
-    evaluator = _Evaluator(fmap, X, y, cfg.split_seed)
     record = RunRecord(config=_config_echo(cfg), rate=rate, nll_kind=evaluator.kind)
 
     rng = np.random.default_rng(cfg.batch_seed)
@@ -409,32 +441,35 @@ def run_experiment(cfg: ExperimentConfig, rate: float | None = None) -> RunRecor
     for epoch in range(1, cfg.epochs + 1):
         start = time.perf_counter()
         reason = None
-        for idx in _draw_epoch(n, cfg.batch_size, cfg.batch_mode, rng):
-            t += 1
-            a_t, b_t = schedule_at(schedule, t)
-            try:
-                if cfg.optimizer == "minimax":
-                    idx2 = (
-                        idx
-                        if cfg.share_batch
-                        else rng.integers(0, n, size=idx.size, dtype=np.int64)
-                    )
-                    if a_t != mm_cfg.primal_rate:  # every step under "polynomial"
-                        mm_cfg = replace(mm_cfg, primal_rate=a_t)
-                    mm_state, mm_dual = minimax_step(
-                        fmap, mm_state, mm_dual, X, y, idx, idx2, mm_cfg
-                    )
-                    theta = mm_state.theta
-                elif cfg.optimizer == "scgd":
-                    scgd_state = scgd_step(
-                        fmap, scgd_state, X, y, idx, a_t, b_t, cfg.sigma_min
-                    )
-                    theta = scgd_state.theta
-                else:
-                    theta = bsgd_step(fmap, theta, X, y, idx, a_t, cfg.sigma_min)
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                reason = "%s: %s" % (type(exc).__name__, exc)
-                break
+        # an overflow, 0/0 or x/0 in a step raises instead of spreading inf or
+        # nan, so the record names it; underflow to zero stays silent
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for idx in _draw_epoch(n, cfg.batch_size, cfg.batch_mode, rng):
+                t += 1
+                a_t, b_t = schedule_at(schedule, t)
+                try:
+                    if cfg.optimizer == "minimax":
+                        idx2 = (
+                            idx
+                            if cfg.share_batch
+                            else rng.integers(0, n, size=idx.size, dtype=np.int64)
+                        )
+                        if a_t != mm_cfg.primal_rate:  # every step under "polynomial"
+                            mm_cfg = replace(mm_cfg, primal_rate=a_t)
+                        mm_state, mm_dual = minimax_step(
+                            fmap, mm_state, mm_dual, X, y, idx, idx2, mm_cfg
+                        )
+                        theta = mm_state.theta
+                    elif cfg.optimizer == "scgd":
+                        scgd_state = scgd_step(
+                            fmap, scgd_state, X, y, idx, a_t, b_t, cfg.sigma_min
+                        )
+                        theta = scgd_state.theta
+                    else:
+                        theta = bsgd_step(fmap, theta, X, y, idx, a_t, cfg.sigma_min)
+                except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+                    reason = "%s: %s" % (type(exc).__name__, exc)
+                    break
         wall_ms = (time.perf_counter() - start) * 1000.0
 
         nll = math.inf
@@ -468,14 +503,14 @@ def run_experiment(cfg: ExperimentConfig, rate: float | None = None) -> RunRecor
         best_theta.noise_variance,
         X,
         y,
-        X_test,
+        prep.X_test,
     )
     record.test_rmse_marginal = rmse(
-        scaler.inverse_targets(post.mean), test_raw.targets
+        prep.scaler.inverse_targets(post.mean), prep.test_targets
     )
-    Z_test = fmap.forward(best_theta.feature_params, X_test).Z
+    Z_test = fmap.forward(best_theta.feature_params, prep.X_test).Z
     record.test_rmse_learned_w = rmse(
-        scaler.inverse_targets(Z_test @ best_theta.weights), test_raw.targets
+        prep.scaler.inverse_targets(Z_test @ best_theta.weights), prep.test_targets
     )
     return record
 
@@ -486,11 +521,14 @@ def grid_search(cfg: ExperimentConfig, on_record=None) -> tuple[float, RunRecord
     Ties go to the smaller rate (rates are swept in increasing order and a
     later rate must be strictly better to displace the incumbent). If every
     rate diverges the sweep fails loudly. ``on_record`` is called with each
-    finished RunRecord, diverged ones included.
+    finished RunRecord, diverged ones included. The data are loaded, split
+    and standardized and the map is built once, for every rate; each record
+    equals that of ``run_experiment`` at its rate.
     """
+    prep = _prepare(cfg)
     best_rate, best_record = None, None
     for rate in sorted(cfg.grid):
-        record = run_experiment(cfg, rate=rate)
+        record = _train(cfg, prep, rate)
         if on_record is not None:
             on_record(record)
         if best_record is None or record.best_nll < best_record.best_nll:
@@ -521,6 +559,22 @@ def default_results_dir() -> Path:
     return Path(os.environ.get(RESULTS_DIR_ENV, "results"))
 
 
+def _cell_key(doc: dict) -> tuple[str, int, str]:
+    """(dataset label, batch size, optimizer) of a run JSON dict: its table cell."""
+    cfg = doc["config"]
+    synth = cfg.get("synth")
+    if synth:
+        label = "synth-%s-n%d-p%d-d%d" % (
+            synth["map_kind"],
+            synth["n"],
+            synth["p"],
+            synth["d"],
+        )
+    else:
+        label = Path(cfg["data_path"]).stem
+    return label, int(cfg["batch_size"]), cfg["optimizer"]
+
+
 def assemble_table(run_dicts: list[dict]) -> list[dict]:
     """Merge run JSON dicts into rows keyed by dataset and batch size.
 
@@ -531,18 +585,7 @@ def assemble_table(run_dicts: list[dict]) -> list[dict]:
     """
     per_seed: dict[tuple[str, int, str, int], float] = {}
     for doc in run_dicts:
-        cfg = doc["config"]
-        synth = cfg.get("synth")
-        if synth:
-            label = "synth-%s-n%d-p%d-d%d" % (
-                synth["map_kind"],
-                synth["n"],
-                synth["p"],
-                synth["d"],
-            )
-        else:
-            label = Path(cfg["data_path"]).stem
-        key = (label, int(cfg["batch_size"]), cfg["optimizer"], int(cfg["split_seed"]))
+        key = _cell_key(doc) + (int(doc["config"]["split_seed"]),)
         nll = float(doc["best"]["nll"])
         per_seed[key] = min(per_seed.get(key, math.inf), nll)
 
@@ -562,3 +605,29 @@ def assemble_table(run_dicts: list[dict]) -> list[dict]:
                 cells[opt] = "%.4f±%.4f" % (float(arr.mean()), float(arr.std()))
         rows.append(cells)
     return rows
+
+
+def divergence_reasons(run_dicts: list[dict]) -> list[tuple[str, int, str, dict[str, int]]]:
+    """Why each cell that ``assemble_table`` shows as "diverged" diverged.
+
+    One (dataset, batch size, optimizer, counts) entry per such cell, in
+    table order; ``counts`` maps each distinct ``diverge_reason`` of the
+    cell's runs to how many runs gave it, most frequent first. Records
+    written before runs kept a reason count as "reason not recorded".
+    """
+    finished, reasons = set(), {}
+    for doc in run_dicts:
+        key = _cell_key(doc)
+        if math.isfinite(float(doc["best"]["nll"])):
+            finished.add(key)
+            continue
+        counts = reasons.setdefault(key, {})
+        reason = doc.get("diverge_reason") or "reason not recorded"
+        counts[reason] = counts.get(reason, 0) + 1
+    return [
+        key + (dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))),)
+        for key, counts in sorted(
+            reasons.items(), key=lambda kv: (kv[0][:2], OPTIMIZERS.index(kv[0][2]))
+        )
+        if key not in finished
+    ]

@@ -274,6 +274,41 @@ class TestTableCommand:
         assert lines[0] == "dataset,batch_size,minimax,scgd,bsgd"
         assert len(lines) == 2
 
+    def test_says_why_a_cell_diverged(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        for opt, rate in (("scgd", "1e30"), ("bsgd", "1e-3")):
+            code = main(
+                [
+                    "run",
+                    "--synth", SYNTH,
+                    "--optimizer", opt,
+                    "--batch-size", "8",
+                    "--epochs", "1",
+                    "--rate", rate,
+                    "--out", str(out),
+                ]
+            )
+            assert code == 0
+        diverged = json.loads(next(out.glob("*scgd*.json")).read_text())
+        reason = diverged["diverge_reason"]
+        assert reason.startswith("FloatingPointError: ")
+        # the same cell at another split seed, saved before runs kept a reason
+        old = {k: v for k, v in diverged.items() if not k.startswith("diverge_")}
+        old["config"] = dict(old["config"], split_seed=1)
+        (out / "old.json").write_text(json.dumps(old))
+        capsys.readouterr()
+        table_csv = tmp_path / "table.csv"
+        assert main(["table", "--dir", str(out), "--out", str(table_csv)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        label = "synth-linear-n100-p3-d3"
+        assert "%s, batch 8, scgd diverged: %s (1 run); reason not recorded (1 run)" % (
+            label,
+            reason,
+        ) in printed
+        assert not [line for line in printed if "bsgd diverged" in line]
+        lines = table_csv.read_text().strip().splitlines()
+        assert lines[1].startswith("%s,8,,diverged," % label)
+
     def test_empty_dir_exits_nonzero(self, tmp_path, capsys):
         code = main(["table", "--dir", str(tmp_path)])
         assert code == 1

@@ -21,6 +21,7 @@ from stochgp.harness import (
     assemble_table,
     build_feature_map,
     config_from_dict,
+    divergence_reasons,
     gen_synthetic,
     grid_search,
     run_experiment,
@@ -167,6 +168,22 @@ class TestDrawEpoch:
         b = _draw_epoch(12, 4, mode, np.random.default_rng(1))
         for x, y in zip(a, b, strict=True):
             assert np.array_equal(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        s=st.integers(1, 400),
+        mode=st.sampled_from(["shuffle", "replacement"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batches_cover_the_epoch_in_range(self, n, s, mode, seed):
+        batches = _draw_epoch(n, s, mode, np.random.default_rng(seed))
+        assert len(batches) == -(-n // s)
+        flat = np.concatenate(batches)
+        assert flat.min() >= 0 and flat.max() < n
+        assert all(1 <= batch.size <= s for batch in batches)
+        if mode == "shuffle":
+            np.testing.assert_array_equal(np.sort(flat), np.arange(n))
 
     def test_replacement_draws_are_sample_batch_draws(self):
         # the harness skips IndexBatch but must consume the generator exactly
@@ -321,6 +338,19 @@ class TestRunExperiment:
             1,
             14,
         )
+
+    def test_overflowing_step_names_the_floating_point_fault(self):
+        # scgd at this rate overflows a matmul in the seventh step; the step
+        # raises instead of warning and handing an inf to the next check
+        before = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = run_experiment(_small_cfg(learning_rate=1e30))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert rec.diverged
+        assert rec.diverge_reason.startswith("FloatingPointError: overflow")
+        assert (rec.diverge_epoch, rec.diverge_step) == (1, 7)
+        assert np.geterr() == before
 
     def test_finished_run_has_no_diverge_reason(self):
         doc = run_experiment(_small_cfg()).to_json_dict()
@@ -504,18 +534,62 @@ class TestGridSearch:
 
         calls = []
 
-        def fake_run(cfg, rate=None):
+        def fake_train(cfg, prep, rate):
             calls.append(rate)
             rec = hmod.RunRecord(config={}, rate=rate, nll_kind="exact")
             rec.best_nll = 1.0
             rec.best_epoch = 1
             return rec
 
-        monkeypatch.setattr(hmod, "run_experiment", fake_run)
+        # every rate of a grid goes through the per-rate trainer
+        monkeypatch.setattr(hmod, "_train", fake_train)
         cfg = _small_cfg(grid=(3e-2, 1e-3, 1e-2), learning_rate=None)
         rate, rec = hmod.grid_search(cfg)
         assert calls == [1e-3, 1e-2, 3e-2]
         assert rate == 1e-3
+
+    def test_grid_loads_once_and_matches_single_runs(self, tmp_path, monkeypatch):
+        import stochgp.harness as hmod
+
+        data, _ = gen_synthetic(SynthSpec(n=90, p=3, d=3, sigma2=0.5, seed=4))
+        path = tmp_path / "grid.csv"
+        rows = ["c0,c1,c2,target"] + [
+            ",".join(repr(float(v)) for v in (*x, t))
+            for x, t in zip(data.features, data.targets)
+        ]
+        path.write_text("\n".join(rows) + "\n")
+        cfg = ExperimentConfig(
+            data_path=str(path),
+            optimizer="minimax",
+            feature_map="mlp",
+            mlp_hidden=4,
+            mlp_out=3,
+            batch_size=8,
+            epochs=2,
+            grid=(1e-3, 1e-2, 1e8),
+            split_seed=1,
+            init_seed=2,
+            batch_seed=3,
+        )
+        loads = []
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(hmod, "load_csv", counting_load)
+        seen = []
+        grid_search(cfg, on_record=seen.append)
+        assert len(loads) == 1
+
+        def comparable(rec):
+            doc = rec.to_json_dict()
+            doc["epochs"] = [{k: v for k, v in e.items() if k != "wall_ms"} for e in doc["epochs"]]
+            return json.dumps(doc, sort_keys=True)
+
+        singles = [run_experiment(cfg, rate=rate) for rate in cfg.grid]
+        assert len(loads) == 1 + len(cfg.grid)
+        assert [comparable(r) for r in seen] == [comparable(r) for r in singles]
 
     def test_on_record_sees_every_rate(self):
         seen = []
@@ -600,6 +674,35 @@ class TestAssembleTable:
         docs = [_fake_doc("abalone", 8, "scgd", 0, math.inf)]
         rows = assemble_table(docs)
         assert rows[0]["scgd"] == "diverged"
+
+    def test_divergence_reasons_cover_only_diverged_cells(self):
+        def diverged(opt, seed, reason):
+            doc = _fake_doc("abalone", 8, opt, seed, math.inf)
+            if reason is not None:
+                doc["diverge_reason"] = reason
+            return doc
+
+        docs = [
+            diverged("scgd", 0, "non-finite NLL"),
+            diverged("scgd", 1, "FloatingPointError: overflow encountered in matmul"),
+            diverged("scgd", 2, "non-finite NLL"),
+            diverged("minimax", 0, None),  # written before runs kept a reason
+            # a diverged rate in a cell with a finished run is not a diverged cell
+            diverged("bsgd", 0, "non-finite NLL"),
+            _fake_doc("abalone", 8, "bsgd", 0, 1.0, rate=1e-2),
+        ]
+        assert divergence_reasons(docs) == [
+            ("abalone", 8, "minimax", {"reason not recorded": 1}),
+            (
+                "abalone",
+                8,
+                "scgd",
+                {"non-finite NLL": 2, "FloatingPointError: overflow encountered in matmul": 1},
+            ),
+        ]
+        cells = assemble_table(docs)[0]
+        assert (cells["minimax"], cells["scgd"]) == ("diverged", "diverged")
+        assert cells["bsgd"] == "1.0000±0.0000"
 
     def test_synthetic_dataset_label(self):
         rows = assemble_table([_fake_doc("synth", 8, "scgd", 0, 1.0)])

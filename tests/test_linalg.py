@@ -2,9 +2,10 @@
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
-from stochgp._linalg import gram
+from stochgp._linalg import frobenius, gram
 
 
 class TestGram:
@@ -30,3 +31,18 @@ class TestGram:
         unshifted = gram(Z)
         unshifted[np.diag_indices(d)] += shift
         assert np.array_equal(G, unshifted)
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("over", ["raise", "ignore"])
+    def test_sum_of_squares_overflow_keeps_the_norm(self, scale, over):
+        # past about 1.3e154 the squares overflow although the norm is finite
+        A = np.array([[3.0, -4.0], [0.0, 12.0]]) * scale
+        with np.errstate(over=over):
+            norm = frobenius(A)
+        assert norm == pytest.approx(13.0 * scale, rel=1e-15)
+
+    def test_non_finite_entries(self):
+        assert frobenius(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(frobenius(np.array([1.0, np.nan])))

@@ -238,6 +238,13 @@ class TestProjectDualBall:
         B = 2.0 * np.eye(2)
         np.testing.assert_allclose(project_dual_ball(B), np.eye(2) / np.sqrt(2.0), rtol=1e-15)
 
+    def test_huge_point_lands_on_the_sphere(self):
+        # its squared norm overflows; the projection must not collapse it to 0
+        B = np.array([[3.0, 0.0], [0.0, -4.0]]) * 1e200
+        with np.errstate(over="raise"):
+            P = project_dual_ball(B)
+        np.testing.assert_allclose(P, np.array([[0.6, 0.0], [0.0, -0.8]]), rtol=1e-15)
+
     def test_idempotent_and_nonexpansive(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
