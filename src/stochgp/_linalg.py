@@ -4,14 +4,31 @@ All helpers assume float64 and go through raw LAPACK/BLAS handles. The
 Python-level scipy wrappers cost tens of microseconds per call, which is
 real money in the optimizer hot path at small d, and the gemm-based inverse
 keeps the cubic work in a BLAS3 kernel with flat efficiency across sizes.
+
+The five handles (dpotrf, dtrtri, dpotrs, dgemm, dsyrk) come straight from
+scipy's compiled f2py extensions ``scipy.linalg._flapack`` and
+``scipy.linalg._fblas``, loaded from the installed scipy's ``linalg``
+directory without importing the ``scipy.linalg`` package: its ``__init__``
+pulls in much of scipy's pure-Python machinery and would be most of the
+import time of this package, for five functions. The top-level ``scipy``
+package is imported first, so whatever library set-up the installed wheel
+does on import still runs. Each extension is registered in ``sys.modules``
+under its canonical name, and one already there is reused, so a later
+``import scipy.linalg`` finds the same module: ``get_lapack_funcs`` and
+``get_blas_funcs`` then return the very objects bound here. Run records
+therefore depend on scipy's LAPACK/BLAS build, not numpy's.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+import scipy
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -28,9 +45,32 @@ __all__ = [
     "tri_inverse_lower",
 ]
 
-_probe = np.empty((1, 1), dtype=np.float64)
-_potrf, _trtri, _potrs = get_lapack_funcs(("potrf", "trtri", "potrs"), (_probe,))
-_gemm, _syrk = get_blas_funcs(("gemm", "syrk"), (_probe,))
+
+def _extension(name: str):
+    """scipy.linalg.<name>, loaded from its compiled file without scipy.linalg's __init__."""
+    full = "scipy.linalg." + name
+    if full in sys.modules:
+        return sys.modules[full]
+    where = Path(scipy.__path__[0], "linalg")
+    for suffix in EXTENSION_SUFFIXES:
+        path = where / (name + suffix)
+        if path.is_file():
+            break
+    else:
+        raise ImportError(
+            "no %s extension file (%s) in %s" % (name, " or ".join(EXTENSION_SUFFIXES), where)
+        )
+    spec = spec_from_file_location(full, path, loader=ExtensionFileLoader(full, str(path)))
+    module = module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _extension("_flapack")
+_fblas = _extension("_fblas")
+_potrf, _trtri, _potrs = _flapack.dpotrf, _flapack.dtrtri, _flapack.dpotrs
+_gemm, _syrk = _fblas.dgemm, _fblas.dsyrk
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):

@@ -4,7 +4,8 @@
 rate grid and keeps the best run, ``synth`` writes a synthetic dataset to
 CSV, ``table`` merges saved run files into a comparison table (and says why
 each cell that reads "diverged" diverged), and ``check`` exercises the
-library's internal consistency identities.
+library's internal consistency identities after a line naming the LAPACK and
+BLAS extension files and BLAS thread settings they run on.
 
 Every experiment flag can instead come from a ``key = value`` config file
 (``--config``); explicit command-line flags win over file values. Results go
@@ -17,12 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from stochgp import harness
+from stochgp import _linalg, harness
 from stochgp._linalg import symmetrize
 from stochgp.features import MLPMap, MLPSpec
 from stochgp.objective import (
@@ -451,6 +453,15 @@ def _self_checks():
 
 def cmd_check(args) -> int:
     del args
+    # which LAPACK/BLAS build and thread setting the numbers below come from
+    threads = (
+        "%s=%s" % (var, os.environ.get(var, "unset"))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    )
+    print(
+        "linalg: LAPACK %s, BLAS %s; %s"
+        % (_linalg._flapack.__file__, _linalg._fblas.__file__, ", ".join(threads))
+    )
     failures = 0
     for name, passed, detail in _self_checks():
         tag = "ok" if passed else "FAIL"

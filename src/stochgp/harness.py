@@ -207,6 +207,23 @@ class ExperimentConfig:
             raise ValueError("schedule must be 'constant' or 'polynomial'")
         if self.batch_mode not in ("replacement", "shuffle"):
             raise ValueError("batch_mode must be 'replacement' or 'shuffle'")
+        scalars = [("learning_rate", self.learning_rate)] if self.learning_rate is not None else []
+        scalars += [("grid rate", rate) for rate in self.grid]
+        scalars += [(name, getattr(self, name)) for name in ("b0", "init_sigma2", "rff_u1", "rff_u2")]
+        for name, value in scalars:
+            if not 0.0 < value < math.inf:
+                raise ValueError("%s must be finite and positive, got %r" % (name, value))
+        # the averaging weight's range under the schedule
+        Schedule(self.schedule, 1.0, self.b0)
+        if self.feature_map != "linear" and min(self.mlp_hidden, self.mlp_out) < 1:
+            raise ValueError(
+                "mlp_hidden and mlp_out must be at least 1, got %d and %d"
+                % (self.mlp_hidden, self.mlp_out)
+            )
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(
+                "train_fraction must lie strictly between 0 and 1, got %r" % self.train_fraction
+            )
         # the projection settings; sigma_min also floors scgd and bsgd
         MinimaxConfig(
             0.0, self.dual_rate, self.penalty, self.sigma_min, self.coord_bound, self.eig_bound

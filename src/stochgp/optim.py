@@ -156,8 +156,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("constant", "polynomial"):
             raise ValueError("kind must be 'constant' or 'polynomial'")
-        if self.a0 <= 0 or self.b0 <= 0:
-            raise ValueError("base rates must be positive")
+        if not (0.0 < self.a0 < math.inf and 0.0 < self.b0 < math.inf):
+            raise ValueError("base rates must be finite and positive")
         if self.kind == "constant" and self.b0 > 1.0:
             raise ValueError("constant averaging weight must lie in (0, 1]")
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
@@ -154,6 +155,28 @@ class TestRunCommand:
             (
                 ["--synth", SYNTH, "--sigma-min", "1.0", "--eig-bound", "0.5"],
                 "eig_bound = 0.5 is below sigma_min**2 = 1",
+            ),
+            (["--synth", SYNTH, "--rate", "-0.01"], "learning_rate must be finite and positive"),
+            (["--synth", SYNTH, "--rate", "nan"], "learning_rate must be finite and positive"),
+            (
+                ["--synth", SYNTH, "--optimizer", "scgd", "--init-sigma2", "-1"],
+                "init_sigma2 must be finite and positive",
+            ),
+            (
+                ["--synth", SYNTH, "--optimizer", "bsgd", "--init-sigma2", "-1"],
+                "init_sigma2 must be finite and positive",
+            ),
+            (
+                ["--synth", SYNTH, "--map", "mlp+rff", "--rff-dim", "4", "--rff-u1", "-1"],
+                "rff_u1 must be finite and positive",
+            ),
+            (
+                ["--synth", SYNTH, "--map", "mlp", "--mlp-hidden", "0"],
+                "mlp_hidden and mlp_out must be at least 1",
+            ),
+            (
+                ["--synth", SYNTH, "--train-fraction", "nan"],
+                "train_fraction must lie strictly between 0 and 1",
             ),
         ],
     )
@@ -316,9 +339,18 @@ class TestTableCommand:
 
 
 class TestCheckCommand:
-    def test_all_checks_pass(self, capsys):
+    def test_all_checks_pass(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         code = main(["check"])
         assert code == 0
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "[FAIL]" not in out
+        # the first line names the bound extensions and the thread setting
+        lapack = sys.modules["scipy.linalg._flapack"].__file__
+        blas = sys.modules["scipy.linalg._fblas"].__file__
+        assert out.splitlines()[0] == (
+            "linalg: LAPACK %s, BLAS %s; OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=unset"
+            % (lapack, blas)
+        )

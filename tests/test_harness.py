@@ -151,6 +151,42 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=r"%s = 0.5 is below sigma_min\*\*2 = 1" % name):
             ExperimentConfig(synth=spec, sigma_min=1.0, **{name: 0.5})
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"learning_rate": -0.01}, "learning_rate must be finite and positive, got -0.01"),
+            ({"learning_rate": 0.0}, "learning_rate must be finite and positive"),
+            ({"learning_rate": math.nan}, "learning_rate must be finite and positive, got nan"),
+            ({"learning_rate": math.inf}, "learning_rate must be finite and positive"),
+            ({"grid": (math.nan, 1e-3)}, "grid rate must be finite and positive, got nan"),
+            ({"grid": (1e-3, -1e-3)}, "grid rate must be finite and positive"),
+            ({"b0": 0.0}, "b0 must be finite and positive"),
+            ({"b0": math.nan}, "b0 must be finite and positive"),
+            ({"b0": 1.5}, r"constant averaging weight must lie in \(0, 1\]"),
+            ({"init_sigma2": -1.0}, "init_sigma2 must be finite and positive, got -1.0"),
+            ({"init_sigma2": math.inf}, "init_sigma2 must be finite and positive"),
+            ({"rff_u1": -1.0, "feature_map": "mlp+rff", "rff_dim": 4}, "rff_u1 must be"),
+            ({"rff_u2": math.nan, "feature_map": "mlp+rff", "rff_dim": 4}, "rff_u2 must be"),
+            ({"mlp_hidden": 0, "feature_map": "mlp"}, "mlp_hidden and mlp_out must be at least 1"),
+            ({"mlp_out": 0, "feature_map": "mlp+rff", "rff_dim": 4}, "at least 1, got 128 and 0"),
+            ({"train_fraction": 0.0}, "train_fraction must lie strictly between 0 and 1"),
+            ({"train_fraction": 1.0}, "train_fraction must lie strictly between 0 and 1"),
+            ({"train_fraction": math.nan}, "train_fraction must lie strictly between 0 and 1"),
+        ],
+    )
+    def test_rejects_bad_values(self, fields, message):
+        spec = SynthSpec(n=4, p=2, d=2, sigma2=1.0)
+        for optimizer in ("minimax", "scgd", "bsgd"):
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(synth=spec, optimizer=optimizer, **fields)
+
+    def test_accepts_values_their_setting_ignores(self):
+        spec = SynthSpec(n=4, p=2, d=2, sigma2=1.0)
+        # the MLP widths are read only by an MLP map, and the polynomial
+        # schedule caps the averaging weight at 1 itself
+        ExperimentConfig(synth=spec, feature_map="linear", mlp_hidden=0, mlp_out=0)
+        ExperimentConfig(synth=spec, schedule="polynomial", b0=1.5)
+
     def test_default_grid(self):
         cfg = ExperimentConfig(synth=SynthSpec(n=4, p=2, d=2, sigma2=1.0))
         assert cfg.grid == DEFAULT_GRID

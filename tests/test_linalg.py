@@ -3,9 +3,10 @@
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 
-from stochgp._linalg import frobenius, gram
+from stochgp._linalg import chol_lower, chol_solve, frobenius, gram, tri_inverse_lower
 
 
 class TestGram:
@@ -31,6 +32,28 @@ class TestGram:
         unshifted = gram(Z)
         unshifted[np.diag_indices(d)] += shift
         assert np.array_equal(G, unshifted)
+
+
+class TestLapackBuild:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 12),
+        rows=st.integers(1, 12),
+        shift=st.floats(1e-6, 10.0),
+        rhs=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernels_equal_scipy_bit_for_bit(self, d, rows, shift, rhs, seed):
+        # records depend on the LAPACK build these kernels call: scipy's, not numpy's
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(rows, d))
+        A = Z.T @ Z + shift * np.eye(d)
+        B = rng.normal(size=(d, rhs))
+        L = chol_lower(A)
+        assert np.array_equal(L, scipy.linalg.cholesky(A, lower=True))
+        for b in (B, B[:, 0]):
+            assert np.array_equal(chol_solve(L, b), scipy.linalg.cho_solve((L, True), b))
+        assert np.array_equal(tri_inverse_lower(L), scipy.linalg.lapack.dtrtri(L, lower=1)[0])
 
 
 class TestFrobenius:
