@@ -9,7 +9,7 @@ method, and the biased batch baseline), exact oracles for validation, and an
 experiment harness with a command-line front end.
 """
 
-from stochgp.data import Dataset, IndexBatch, Scaler, load_csv, sample_batch, split, standardize
+from stochgp.data import Dataset, Scaler, load_csv, split, standardize
 from stochgp.features import (
     ComposedMap,
     FeatureBatch,

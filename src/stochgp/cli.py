@@ -7,8 +7,12 @@ each cell that reads "diverged" diverged), and ``check`` exercises the
 library's internal consistency identities after a line naming the LAPACK and
 BLAS extension files and BLAS thread settings they run on.
 
-Every experiment flag can instead come from a ``key = value`` config file
-(``--config``); explicit command-line flags win over file values. Results go
+The experiment flags of ``run`` and ``grid`` are the fields of
+``harness.ExperimentConfig``, which declares each setting's name, type,
+default and checks once; this module derives the flags, their parsers and
+the config-file keys from it. Every experiment flag can instead come from a
+``key = value`` config file (``--config``); explicit command-line flags win
+over file values. Results go
 to --out, else the directory named by the STOCHGP_RESULTS_DIR environment
 variable, else ./results.
 """
@@ -20,7 +24,10 @@ import csv
 import json
 import os
 import sys
+from dataclasses import Field, fields
 from pathlib import Path
+from types import UnionType
+from typing import Callable, Literal, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,42 +55,6 @@ from stochgp.optim import (
     scgd_step,
 )
 
-# flag destinations the key=value config file may set, with their parsers
-_CONFIG_COERCERS = {
-    "data": str,
-    "target": str,
-    "synth": str,
-    "map": str,
-    "mlp_hidden": int,
-    "mlp_out": int,
-    "rff_dim": int,
-    "rff_u1": float,
-    "rff_u2": float,
-    "optimizer": str,
-    "batch_size": int,
-    "epochs": int,
-    "rate": float,
-    "grid": str,
-    "schedule": str,
-    "b0": float,
-    "dual_rate": float,
-    "penalty": float,
-    "sigma_min": float,
-    "coord_bound": float,
-    "eig_bound": float,
-    "init_sigma2": float,
-    "share_batch": lambda s: _parse_bool(s),
-    "streaming_init": lambda s: _parse_bool(s),
-    "batch_mode": str,
-    "train_fraction": float,
-    "split_seed": int,
-    "init_seed": int,
-    "batch_seed": int,
-    "name": str,
-    "out": str,
-}
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -102,7 +73,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 def _parse_synth(text: str) -> harness.SynthSpec:
     """Parse 'n=2048,p=16,d=16,sigma2=0.5,kind=linear,seed=0[,hidden=32]'."""
-    fields: dict = {}
+    kw: dict = {}
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
@@ -111,24 +82,52 @@ def _parse_synth(text: str) -> harness.SynthSpec:
             raise ValueError("synth spec entries must be key=value, got %r" % tok)
         key, val = (part.strip() for part in tok.split("=", 1))
         if key in ("n", "p", "d", "seed", "hidden"):
-            fields["mlp_hidden" if key == "hidden" else key] = int(val)
+            kw["mlp_hidden" if key == "hidden" else key] = int(val)
         elif key == "sigma2":
-            fields[key] = float(val)
+            kw[key] = float(val)
         elif key == "kind":
-            fields["map_kind"] = val
+            kw["map_kind"] = val
         else:
             raise ValueError("unknown synth spec key: %r" % key)
     for required in ("n", "p", "d", "sigma2"):
-        if required not in fields:
+        if required not in kw:
             raise ValueError("synth spec is missing %s" % required)
-    return harness.SynthSpec(**fields)
+    return harness.SynthSpec(**kw)
+
+
+# fields whose flag is not the field name in kebab-case
+_FLAG_NAMES = {"data_path": "data", "feature_map": "map", "learning_rate": "rate"}
+
+
+class _Setting(NamedTuple):
+    field: Field
+    parse: Callable[[str], object]
+    choices: tuple[str, ...] | None
+
+
+def _settings() -> dict[str, _Setting]:
+    """Each ExperimentConfig field, keyed by its flag name with underscores."""
+    hints = get_type_hints(harness.ExperimentConfig)
+    parsers = {bool: _parse_bool, tuple[float, ...]: _parse_grid, harness.SynthSpec: _parse_synth}
+    out = {}
+    for f in fields(harness.ExperimentConfig):
+        hint = hints[f.name]
+        if isinstance(hint, UnionType):  # X | None
+            (hint,) = set(get_args(hint)) - {type(None)}
+        choices = get_args(hint) if get_origin(hint) is Literal else None
+        parse = str if choices else parsers.get(hint, hint)
+        out[_FLAG_NAMES.get(f.name, f.name)] = _Setting(f, parse, choices)
+    return out
+
+
+_SETTINGS = _settings()
 
 
 def read_config_file(path) -> dict:
     """Parse a key=value config file into flag defaults.
 
-    Blank lines and lines starting with # are skipped. Keys use the flag
-    names with underscores (e.g. ``batch_size = 64``).
+    Blank lines and lines starting with # are skipped. Keys are the flag
+    names with underscores (e.g. ``batch_size = 64``), ``out`` included.
     """
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -140,97 +139,58 @@ def read_config_file(path) -> dict:
                 raise ValueError("%s line %d: expected key = value" % (path, lineno))
             key, val = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _CONFIG_COERCERS:
+            if key not in _SETTINGS and key != "out":
                 raise ValueError("%s line %d: unknown key %r" % (path, lineno, key))
             try:
-                out[key] = _CONFIG_COERCERS[key](val)
+                out[key] = _SETTINGS[key].parse(val) if key in _SETTINGS else val
             except ValueError as exc:
                 raise ValueError("%s line %d: %s" % (path, lineno, exc)) from None
     return out
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser):
+_EXPERIMENT_HELP = (
+    "Each flag sets the harness.ExperimentConfig field of its name in kebab-case"
+    " (--data sets data_path, --map feature_map, --rate learning_rate); exactly one"
+    " of --data and --synth is required, and --synth takes the spec of 'synth --spec'."
+    " A --config file sets the same settings (and --out) as 'key = value' lines,"
+    " keyed by the flag name with underscores."
+)
+
+
+def _add_experiment_flags(p: argparse.ArgumentParser, omit: str):
+    """One flag per setting but ``omit``; an unset flag leaves no attribute."""
     p.add_argument("--config", help="key=value config file; flags override it")
-    src = p.add_argument_group("data source (exactly one)")
-    src.add_argument("--data", help="CSV file with a header row")
-    src.add_argument("--target", default="target", help="target column name or index")
-    src.add_argument(
-        "--synth",
-        help="synthetic spec, e.g. n=2048,p=16,d=16,sigma2=0.5,kind=linear,seed=0",
-    )
-    model = p.add_argument_group("model")
-    model.add_argument("--map", default="linear", choices=list(harness.MAP_KINDS))
-    model.add_argument("--mlp-hidden", type=int, default=128)
-    model.add_argument("--mlp-out", type=int, default=128)
-    model.add_argument("--rff-dim", type=int, default=1000)
-    model.add_argument("--rff-u1", type=float, default=1.0)
-    model.add_argument("--rff-u2", type=float, default=1.0)
-    model.add_argument("--init-sigma2", type=float, default=1.0)
-    opt = p.add_argument_group("optimizer")
-    opt.add_argument("--optimizer", default="minimax", choices=list(harness.OPTIMIZERS))
-    opt.add_argument("--batch-size", type=int, default=32)
-    opt.add_argument("--epochs", type=int, default=100)
-    opt.add_argument("--schedule", default="constant", choices=["constant", "polynomial"])
-    opt.add_argument("--b0", type=float, default=0.9, help="averaging weight scale")
-    opt.add_argument("--dual-rate", type=float, default=0.1)
-    opt.add_argument("--penalty", type=float, default=1.0)
-    opt.add_argument("--sigma-min", type=float, default=1e-3)
-    opt.add_argument("--coord-bound", type=float, default=1e6)
-    opt.add_argument("--eig-bound", type=float, default=1e6)
-    opt.add_argument("--share-batch", action="store_true", default=False)
-    opt.add_argument("--streaming-init", action="store_true", default=False)
-    opt.add_argument(
-        "--batch-mode", default="replacement", choices=["replacement", "shuffle"]
-    )
-    proto = p.add_argument_group("protocol")
-    proto.add_argument("--train-fraction", type=float, default=0.9)
-    proto.add_argument("--split-seed", type=int, default=0)
-    proto.add_argument("--init-seed", type=int, default=0)
-    proto.add_argument("--batch-seed", type=int, default=0)
-    proto.add_argument("--name", help="base name for result files")
-    proto.add_argument(
+    for key, (f, parse, choices) in _SETTINGS.items():
+        if key == omit:
+            continue
+        flag = "--" + key.replace("_", "-")
+        doc = None if f.default is None else "default: %s" % (f.default,)
+        if parse is _parse_bool:
+            p.add_argument(flag, action="store_true", default=argparse.SUPPRESS, help=doc)
+        else:
+            # argparse's own error for a bad number names the flag; the other
+            # parsers run in _config_from_args, so their message is printed as is
+            p.add_argument(
+                flag,
+                type=parse if parse in (int, float) else None,
+                choices=choices,
+                default=argparse.SUPPRESS,
+                help=doc,
+            )
+    p.add_argument(
         "--out",
         help="results directory (default: $%s or ./results)" % harness.RESULTS_DIR_ENV,
     )
 
 
 def _config_from_args(args) -> harness.ExperimentConfig:
-    synth = None
-    if args.synth:
-        spec = args.synth
-        synth = spec if isinstance(spec, harness.SynthSpec) else _parse_synth(spec)
-    grid_text = getattr(args, "grid", None)
+    given = vars(args)
     return harness.ExperimentConfig(
-        data_path=args.data,
-        target=args.target,
-        synth=synth,
-        feature_map=args.map,
-        mlp_hidden=args.mlp_hidden,
-        mlp_out=args.mlp_out,
-        rff_dim=args.rff_dim,
-        rff_u1=args.rff_u1,
-        rff_u2=args.rff_u2,
-        optimizer=args.optimizer,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        learning_rate=getattr(args, "rate", None),
-        grid=_parse_grid(grid_text) if grid_text else harness.DEFAULT_GRID,
-        schedule=args.schedule,
-        b0=args.b0,
-        dual_rate=args.dual_rate,
-        penalty=args.penalty,
-        sigma_min=args.sigma_min,
-        coord_bound=args.coord_bound,
-        eig_bound=args.eig_bound,
-        init_sigma2=args.init_sigma2,
-        share_batch=args.share_batch,
-        streaming_init=args.streaming_init,
-        batch_mode=args.batch_mode,
-        train_fraction=args.train_fraction,
-        split_seed=args.split_seed,
-        init_seed=args.init_seed,
-        batch_seed=args.batch_seed,
-        name=args.name,
+        **{
+            f.name: parse(given[key]) if isinstance(given[key], str) else given[key]
+            for key, (f, parse, _) in _SETTINGS.items()
+            if key in given
+        }
     )
 
 
@@ -486,16 +446,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="one experiment at a fixed learning rate")
-    _add_experiment_flags(p_run)
-    p_run.add_argument("--rate", type=float, help="learning rate")
+    p_run = sub.add_parser(
+        "run", help="one experiment at a fixed learning rate", description=_EXPERIMENT_HELP
+    )
+    _add_experiment_flags(p_run, omit="grid")
     p_run.set_defaults(func=cmd_run)
 
-    p_grid = sub.add_parser("grid", help="sweep a learning-rate grid, keep the best")
-    _add_experiment_flags(p_grid)
-    p_grid.add_argument(
-        "--grid", help="comma-separated rates (default %s)" % (harness.DEFAULT_GRID,)
+    p_grid = sub.add_parser(
+        "grid", help="sweep a learning-rate grid, keep the best", description=_EXPERIMENT_HELP
     )
+    _add_experiment_flags(p_grid, omit="rate")
     p_grid.set_defaults(func=cmd_grid)
 
     p_synth = sub.add_parser("synth", help="write a synthetic dataset to CSV")
@@ -518,33 +478,43 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, {"run": p_run, "grid": p_grid}
 
 
-def main(argv=None) -> int:
-    args_list = list(sys.argv[1:] if argv is None else argv)
+def parse_args(argv) -> argparse.Namespace:
+    """Parse a command line; ``run`` and ``grid`` get ``args.experiment``."""
     parser, subparsers = build_parser()
-    probe, _ = parser.parse_known_args(args_list)
+    probe, _ = parser.parse_known_args(argv)
+    if getattr(probe, "config", None) and probe.command in subparsers:
+        # install the file's values as defaults on the chosen subcommand so
+        # an explicit flag still overrides them (the subcommand re-applies
+        # its own defaults while parsing, so the top-level parser's defaults
+        # would be clobbered)
+        parser, subparsers = build_parser()
+        subparsers[probe.command].set_defaults(**read_config_file(probe.config))
+    args = parser.parse_args(argv)
+    if args.command in subparsers:
+        args.experiment = _config_from_args(args)
+    elif args.command == "synth":
+        args.spec = _parse_synth(args.spec)
+    return args
+
+
+def main(argv=None) -> int:
+    # bad input is a usage error, not a crash: a bad flag or config value, a
+    # missing file, data that do not load (an unknown target column, a bad
+    # cell, a ragged row). Past loading, a run records a failing step as a
+    # divergence instead of raising, so a ValueError here names an input.
     try:
-        if getattr(probe, "config", None) and probe.command in subparsers:
-            # install the file's values as defaults on the chosen subcommand so
-            # an explicit flag still overrides them (the subcommand re-applies
-            # its own defaults while parsing, so the top-level parser's defaults
-            # would be clobbered)
-            parser, subparsers = build_parser()
-            subparsers[probe.command].set_defaults(**read_config_file(probe.config))
-        args = parser.parse_args(args_list)
-        # a bad value is a usage error like a missing flag, not a crash
-        if args.command in subparsers:
-            args.experiment = _config_from_args(args)
-        elif args.command == "synth":
-            args.spec = _parse_synth(args.spec)
+        args = parse_args(list(sys.argv[1:] if argv is None else argv))
+        code = args.func(args)
+        sys.stdout.flush()
     except (ValueError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    try:
-        return args.func(args)
-    except FileNotFoundError as exc:
-        # a missing --data file, which only the run itself opens
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # the reader left early (``stochgp check | head -3``); point stdout at
+        # devnull so the interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

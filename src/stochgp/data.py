@@ -1,17 +1,13 @@
-"""Dataset ingestion, standardization, train/test splitting, and batch sampling.
+"""Dataset ingestion, standardization and train/test splitting.
 
 CSV contract: first line is the header, comma separator, decimal point,
-UTF-8. The target column is selected by name or by zero-based position.
+UTF-8. The target column is selected by header name, else by zero-based
+position (an int, or a string of digits that is not a header name).
 Quotes around a cell are stripped, whitespace around a number is ignored,
 blank lines are skipped, and ``#`` is an ordinary character, not a comment.
 Every other cell must be a finite number as numpy's parser reads it; forms
 that only Python's float() accepts (digit-group underscores such as
 ``1_0``, non-ASCII digits) are errors. Errors name the line and column.
-Mini-batch indices are drawn uniformly with replacement so per-sample
-gradient terms stay i.i.d.; the harness draws the same way (and has an
-epoch mode without replacement) but skips IndexBatch, since its draws are in
-range by construction. Generators are never shared across workers, derive
-one per worker with fixed seed offsets.
 """
 
 from __future__ import annotations
@@ -26,11 +22,9 @@ import numpy as np
 __all__ = [
     "Dataset",
     "Scaler",
-    "IndexBatch",
     "load_csv",
     "standardize",
     "split",
-    "sample_batch",
 ]
 
 
@@ -108,33 +102,13 @@ class Scaler:
         return np.asarray(y, dtype=np.float64) * self.target_scale + self.target_mean
 
 
-@dataclass(frozen=True)
-class IndexBatch:
-    """A batch of row indices into an n-row dataset (0-based, possibly repeated)."""
-
-    indices: np.ndarray
-    n: int
-    s: int
-
-    def __post_init__(self):
-        idx = np.ascontiguousarray(np.asarray(self.indices, dtype=np.int64))
-        if idx.ndim != 1:
-            raise ValueError("indices must be 1-d")
-        if self.s != idx.shape[0]:
-            raise ValueError("s=%d does not match %d indices" % (self.s, idx.shape[0]))
-        if self.s < 1:
-            raise ValueError("batch size must be at least 1")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise ValueError("batch indices out of range [0, %d)" % self.n)
-        object.__setattr__(self, "indices", idx)
-
-
 def load_csv(path, target) -> Dataset:
     """Read a numeric CSV into a Dataset.
 
     Args:
         path: file path; first line must be a header.
-        target: target column, by header name or zero-based position.
+        target: target column: a header name, else a zero-based position
+            given as an int or as a string of digits.
 
     The target column is removed from the features; row order is preserved.
     The body is parsed in one vectorized pass; only when that pass fails or
@@ -153,18 +127,17 @@ def load_csv(path, target) -> Dataset:
         header = [h.strip() for h in header]
 
         if isinstance(target, int) and not isinstance(target, bool):
-            if not 0 <= target < len(header):
-                raise ValueError(
-                    "target column index %d out of range for %d columns" % (target, len(header))
-                )
             tcol = target
+        elif str(target) in header:
+            tcol = header.index(str(target))
+        elif str(target).isascii() and str(target).isdigit():
+            tcol = int(target)
         else:
-            try:
-                tcol = header.index(str(target))
-            except ValueError:
-                raise ValueError(
-                    "target column %r absent from header %r" % (target, header)
-                ) from None
+            raise ValueError("target column %r absent from header %r" % (target, header))
+        if not 0 <= tcol < len(header):
+            raise ValueError(
+                "target column index %d out of range for %d columns" % (tcol, len(header))
+            )
 
         with warnings.catch_warnings():
             # a body of blank lines is reported as an empty dataset below
@@ -260,12 +233,3 @@ def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datase
     test = Dataset(d.features[te], d.targets[te], d.names)
     return train, test
 
-
-def sample_batch(n: int, s: int, rng: np.random.Generator) -> IndexBatch:
-    """Draw s indices uniformly with replacement from range(n)."""
-    if s < 1:
-        raise ValueError("batch size must be at least 1")
-    if n < 1:
-        raise ValueError("population size must be at least 1")
-    idx = rng.integers(0, n, size=s, dtype=np.int64)
-    return IndexBatch(idx, n, s)

@@ -33,7 +33,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from stochgp.data import (
     Dataset,
     Scaler,
     load_csv,
-    sample_batch,
     split,
     standardize,
 )
@@ -88,8 +87,10 @@ DEFAULT_GRID = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 RESULTS_DIR_ENV = "STOCHGP_RESULTS_DIR"
 EVAL_SUBSAMPLE = 2000
 GRAD_DIVERGENCE_NORM = 1e12
-OPTIMIZERS = ("minimax", "scgd", "bsgd")
-MAP_KINDS = ("linear", "mlp", "mlp+rff")
+Optimizer = Literal["minimax", "scgd", "bsgd"]
+MapKind = Literal["linear", "mlp", "mlp+rff"]
+OPTIMIZERS = get_args(Optimizer)
+MAP_KINDS = get_args(MapKind)
 
 
 @dataclass(frozen=True)
@@ -152,23 +153,27 @@ def gen_synthetic(spec: SynthSpec, draw_seed: int | None = None):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; identical configs give identical records at one BLAS thread count."""
+    """Everything a run needs; identical configs give identical records at one BLAS thread count.
+
+    Every field is also a ``stochgp run``/``grid`` flag and config-file key,
+    which ``stochgp.cli`` derives from the field's name, type and default.
+    """
 
     data_path: str | None = None
     target: str = "target"
     synth: SynthSpec | None = None
-    feature_map: str = "linear"
+    feature_map: MapKind = "linear"
     mlp_hidden: int = 128
     mlp_out: int = 128
     rff_dim: int = 1000
     rff_u1: float = 1.0
     rff_u2: float = 1.0
-    optimizer: str = "minimax"
+    optimizer: Optimizer = "minimax"
     batch_size: int = 32
     epochs: int = 100
     learning_rate: float | None = None
     grid: tuple[float, ...] = DEFAULT_GRID
-    schedule: str = "constant"
+    schedule: Literal["constant", "polynomial"] = "constant"
     b0: float = 0.9
     dual_rate: float = 0.1
     penalty: float = 1.0
@@ -178,7 +183,7 @@ class ExperimentConfig:
     init_sigma2: float = 1.0
     share_batch: bool = False
     streaming_init: bool = False
-    batch_mode: str = "replacement"
+    batch_mode: Literal["replacement", "shuffle"] = "replacement"
     train_fraction: float = 0.9
     split_seed: int = 0
     init_seed: int = 0
@@ -384,9 +389,9 @@ class _Evaluator:
 def _draw_epoch(n: int, s: int, mode: str, rng: np.random.Generator) -> list[np.ndarray]:
     """One epoch of index batches, ceil(n/s) of them.
 
-    "replacement" makes the draws of data.sample_batch; "shuffle" cuts one
-    permutation into chunks, so every index appears once and the last chunk
-    may be short. Both are in range by construction, so no IndexBatch checks.
+    "replacement" draws each batch uniformly with replacement, so per-sample
+    gradient terms stay i.i.d.; "shuffle" cuts one permutation into chunks,
+    so every index appears once and the last chunk may be short.
     """
     if mode == "replacement":
         return [rng.integers(0, n, size=s, dtype=np.int64) for _ in range(-(-n // s))]
@@ -445,7 +450,11 @@ def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
 
     mm_state = mm_dual = scgd_state = None
     if cfg.optimizer == "minimax":
-        seed_idx = sample_batch(n, min(cfg.batch_size, n), rng).indices if cfg.streaming_init else None
+        seed_idx = (
+            rng.integers(0, n, size=min(cfg.batch_size, n), dtype=np.int64)
+            if cfg.streaming_init
+            else None
+        )
         mm_state, mm_dual = minimax_init(fmap, theta, X, batch_indices=seed_idx)
         mm_cfg = MinimaxConfig(
             rate, cfg.dual_rate, cfg.penalty, cfg.sigma_min, cfg.coord_bound, cfg.eig_bound
@@ -580,15 +589,7 @@ def _cell_key(doc: dict) -> tuple[str, int, str]:
     """(dataset label, batch size, optimizer) of a run JSON dict: its table cell."""
     cfg = doc["config"]
     synth = cfg.get("synth")
-    if synth:
-        label = "synth-%s-n%d-p%d-d%d" % (
-            synth["map_kind"],
-            synth["n"],
-            synth["p"],
-            synth["d"],
-        )
-    else:
-        label = Path(cfg["data_path"]).stem
+    label = SynthSpec(**synth).label() if synth else Path(cfg["data_path"]).stem
     return label, int(cfg["batch_size"]), cfg["optimizer"]
 
 

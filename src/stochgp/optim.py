@@ -43,7 +43,6 @@ from stochgp._linalg import (
     tri_inverse_lower,
     try_chol_lower,
 )
-from stochgp.data import IndexBatch
 from stochgp.features import FeatureMap, FeatureMapParams
 from stochgp.objective import (
     HyperParams,
@@ -172,9 +171,8 @@ def schedule_at(s: Schedule, t: int) -> tuple[float, float]:
 
 
 def _rows(A, batch) -> np.ndarray:
-    """Rows of A as float64 at a batch's indices (an IndexBatch or an index array)."""
-    idx = batch.indices if isinstance(batch, IndexBatch) else np.asarray(batch, dtype=np.int64)
-    return np.asarray(A, dtype=np.float64)[idx]
+    """Rows of A as float64 at a batch's index array."""
+    return np.asarray(A, dtype=np.float64)[np.asarray(batch, dtype=np.int64)]
 
 
 def _surrogate_norm(A: np.ndarray) -> float:

@@ -1,21 +1,65 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import stochgp
 from stochgp.cli import (
     _parse_bool,
     _parse_grid,
     _parse_synth,
     main,
+    parse_args,
     read_config_file,
 )
 from stochgp.data import load_csv
+from stochgp.harness import ExperimentConfig
 
 
 SYNTH = "n=100,p=3,d=3,sigma2=0.4,kind=linear,seed=5"
+
+# a non-default value for every ExperimentConfig field: (text, parsed value);
+# text None marks a switch, set by its bare flag or "key = true" in a file
+FIELD_VALUES = {
+    "data_path": ("d.csv", "d.csv"),
+    "target": ("y", "y"),
+    "synth": (SYNTH, _parse_synth(SYNTH)),
+    "feature_map": ("mlp", "mlp"),
+    "mlp_hidden": ("7", 7),
+    "mlp_out": ("5", 5),
+    "rff_dim": ("10", 10),
+    "rff_u1": ("2.5", 2.5),
+    "rff_u2": ("3.5", 3.5),
+    "optimizer": ("scgd", "scgd"),
+    "batch_size": ("4", 4),
+    "epochs": ("3", 3),
+    "learning_rate": ("0.01", 0.01),
+    "grid": ("0.1,0.2", (0.1, 0.2)),
+    "schedule": ("polynomial", "polynomial"),
+    "b0": ("0.5", 0.5),
+    "dual_rate": ("0.2", 0.2),
+    "penalty": ("2.0", 2.0),
+    "sigma_min": ("0.01", 0.01),
+    "coord_bound": ("10.0", 10.0),
+    "eig_bound": ("100.0", 100.0),
+    "init_sigma2": ("0.5", 0.5),
+    "share_batch": (None, True),
+    "streaming_init": (None, True),
+    "batch_mode": ("shuffle", "shuffle"),
+    "train_fraction": ("0.5", 0.5),
+    "split_seed": ("1", 1),
+    "init_seed": ("2", 2),
+    "batch_seed": ("3", 3),
+    "name": ("x", "x"),
+}
+# the fields whose flag is not the field name in kebab-case
+RENAMED = {"data_path": "data", "feature_map": "map", "learning_rate": "rate"}
 
 
 def _run_json(out_dir):
@@ -81,6 +125,32 @@ class TestConfigFile:
         cfg.write_text("just some words\n")
         with pytest.raises(ValueError, match="key = value"):
             read_config_file(cfg)
+
+
+class TestFlagsFromConfigFields:
+    def test_table_covers_every_field_with_a_non_default_value(self):
+        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+        assert set(FIELD_VALUES) == set(defaults)
+        for name, (_, value) in FIELD_VALUES.items():
+            assert value != defaults[name], name
+
+    @pytest.mark.parametrize("name", list(FIELD_VALUES))
+    def test_field_is_set_by_its_flag_and_its_config_key(self, tmp_path, name):
+        text, value = FIELD_VALUES[name]
+        key = RENAMED.get(name, name)
+        command = "grid" if name == "grid" else "run"
+        source = [] if name in ("data_path", "synth") else ["--synth", SYNTH]
+        flag = ["--" + key.replace("_", "-")] + ([] if text is None else [text])
+        by_flag = parse_args([command] + source + flag).experiment
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("%s = %s\n" % (key, "true" if text is None else text))
+        by_file = parse_args([command, "--config", str(cfg)] + source).experiment
+        assert getattr(by_flag, name) == value
+        assert getattr(by_file, name) == value
+
+    def test_unset_flags_leave_the_dataclass_defaults(self):
+        args = parse_args(["run", "--synth", SYNTH, "--rate", "0.003"])
+        assert args.experiment == ExperimentConfig(synth=_parse_synth(SYNTH), learning_rate=0.003)
 
 
 class TestSynthCommand:
@@ -178,6 +248,9 @@ class TestRunCommand:
                 ["--synth", SYNTH, "--train-fraction", "nan"],
                 "train_fraction must lie strictly between 0 and 1",
             ),
+            (["--synth", "n=10,p=2,d=2"], "synth spec is missing sigma2"),
+            (["--synth", SYNTH, "--batch-size", "0"], "batch_size must be at least 1"),
+            (["--synth", SYNTH, "--grid", " , "], "empty learning-rate grid: ' , '"),
         ],
     )
     def test_invalid_config_is_a_usage_error(self, tmp_path, capsys, argv, message):
@@ -185,11 +258,46 @@ class TestRunCommand:
         cfg.write_text("momentum = 0.9\n")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         out = tmp_path / "res"
-        code = main(["run", "--rate", "1e-3", "--out", str(out)] + argv)
+        command = ["grid"] if "--grid" in argv else ["run", "--rate", "1e-3"]
+        code = main(command + ["--out", str(out)] + argv)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body, target, message",
+        [
+            ("a,target\n1,2\n3,4\n", "z", "target column 'z' absent from header"),
+            ("a,target\n1,2\n3,x\n", "target", "non-numeric cell at line 3, column 'target'"),
+            ("a,target\n1,2\n3\n", "target", "line 3 has 1 cells, header has 2"),
+            ("a,target\n1,2\n3,4\n", "2", "target column index 2 out of range for 2 columns"),
+        ],
+    )
+    def test_data_that_do_not_load_are_a_usage_error(self, tmp_path, capsys, body, target, message):
+        data_csv = tmp_path / "bad.csv"
+        data_csv.write_text(body)
+        out = tmp_path / "res"
+        code = main(
+            ["run", "--data", str(data_csv), "--target", target, "--rate", "1e-3", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_target_by_position(self, tmp_path):
+        data_csv = tmp_path / "toy.csv"
+        main(["synth", "--spec", SYNTH, "--out", str(data_csv)])
+        out = tmp_path / "res"
+        argv = ["run", "--data", str(data_csv), "--epochs", "1", "--rate", "1e-3", "--out", str(out)]
+        assert main(argv + ["--target", "3"]) == 0
+        by_position = _run_json(out)
+        assert by_position["config"]["target"] == "3"
+        assert main(argv + ["--target", "target", "--name", "by-name"]) == 0
+        by_name = json.loads(next(out.glob("by-name*.json")).read_text())
+        assert by_position["best"] == by_name["best"]
 
     def test_invalid_synth_spec_is_a_usage_error(self, tmp_path, capsys):
         code = main(["synth", "--spec", "n=10,p=2,d=2", "--out", str(tmp_path / "x.csv")])
@@ -336,6 +444,27 @@ class TestTableCommand:
         code = main(["table", "--dir", str(tmp_path)])
         assert code == 1
         assert "no run files" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_ends_without_traceback(self):
+        # as in `stochgp check | head -1`: the lines after the first go to a
+        # pipe whose reader is gone
+        src = str(Path(stochgp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "stochgp.cli", "check"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first.startswith(b"linalg: ")
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 class TestCheckCommand:

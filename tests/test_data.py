@@ -7,9 +7,7 @@ from hypothesis import given, settings
 
 from stochgp.data import (
     Dataset,
-    IndexBatch,
     load_csv,
-    sample_batch,
     split,
     standardize,
 )
@@ -55,6 +53,22 @@ class TestLoadCsv:
         d = load_csv(path, 0)
         np.testing.assert_array_equal(d.targets, [1, 4])
         np.testing.assert_array_equal(d.features, [[2, 3], [5, 6]])
+
+    def test_target_digits_name_a_column_first_then_a_position(self, tmp_path):
+        # the CLI passes --target as text: "1" is the column named "1" when
+        # there is one, else zero-based position 1
+        path = tmp_path / "tiny.csv"
+        write_csv(path, ["a", "b", "y"], [[1, 2, 3], [4, 5, 6]])
+        np.testing.assert_array_equal(load_csv(path, "1").targets, [2, 5])
+        with pytest.raises(ValueError, match="index 3 out of range for 3 columns"):
+            load_csv(path, "3")
+        write_csv(path, ["1", "0", "y"], [[1, 2, 3], [4, 5, 6]])
+        d = load_csv(path, "1")
+        np.testing.assert_array_equal(d.targets, [1, 4])
+        assert d.names == ("0", "y")
+        np.testing.assert_array_equal(load_csv(path, "2").targets, [3, 6])
+        # an int is always a position
+        np.testing.assert_array_equal(load_csv(path, 1).targets, [2, 5])
 
     def test_nan_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -310,31 +324,3 @@ class TestSplit:
             with pytest.raises(ValueError):
                 split(d, frac, seed=0)
 
-
-class TestSampleBatch:
-    def test_single_row_population_is_forced(self):
-        rng = np.random.default_rng(0)
-        b = sample_batch(1, 3, rng)
-        np.testing.assert_array_equal(b.indices, [0, 0, 0])
-        assert b.n == 1 and b.s == 3
-
-    def test_seed_replay(self):
-        a = sample_batch(50, 8, np.random.default_rng(99))
-        b = sample_batch(50, 8, np.random.default_rng(99))
-        assert np.array_equal(a.indices, b.indices)
-
-    def test_zero_batch_rejected(self):
-        with pytest.raises(ValueError):
-            sample_batch(10, 0, np.random.default_rng(0))
-
-    def test_uniform_frequencies(self):
-        # n=4, s=1, 40k draws: each index within 3 standard errors of 1/4
-        rng = np.random.default_rng(2024)
-        draws = np.concatenate([sample_batch(4, 1, rng).indices for _ in range(40000)])
-        freq = np.bincount(draws, minlength=4) / 40000.0
-        se = np.sqrt(0.25 * 0.75 / 40000.0)
-        assert np.all(np.abs(freq - 0.25) < 3 * se), freq
-
-    def test_index_batch_range_validation(self):
-        with pytest.raises(ValueError, match="out of range"):
-            IndexBatch(np.array([0, 5]), n=5, s=2)

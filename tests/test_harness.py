@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from stochgp._linalg import spd_inverse
-from stochgp.data import load_csv, sample_batch, split, standardize
+from stochgp.data import load_csv, split, standardize
 from stochgp.features import LinearMap, MLPMap, MLPSpec
 from stochgp.harness import (
     DEFAULT_GRID,
@@ -222,15 +222,30 @@ class TestDrawEpoch:
             np.testing.assert_array_equal(np.sort(flat), np.arange(n))
 
     def test_replacement_draws_are_sample_batch_draws(self):
-        # the harness skips IndexBatch but must consume the generator exactly
-        # as data.sample_batch does, so records stay reproducible
+        # each batch is one rng.integers(0, n, size=s, dtype=np.int64) call;
+        # stored records depend on the generator being consumed exactly so
         rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
         batches = _draw_epoch(50, 8, "replacement", rng_a)
         assert len(batches) == 7
         for batch in batches:
             assert batch.dtype == np.int64
-            np.testing.assert_array_equal(batch, sample_batch(50, 8, rng_b).indices)
+            np.testing.assert_array_equal(batch, rng_b.integers(0, 50, size=8, dtype=np.int64))
         assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
+
+    def test_single_row_population_is_forced(self):
+        batches = _draw_epoch(1, 3, "replacement", np.random.default_rng(0))
+        assert len(batches) == 1
+        np.testing.assert_array_equal(batches[0], [0, 0, 0])
+
+    def test_uniform_frequencies(self):
+        # n=4, s=1, 40k draws: each index within 3 standard errors of 1/4
+        rng = np.random.default_rng(2024)
+        draws = np.concatenate(
+            [batch for _ in range(10000) for batch in _draw_epoch(4, 1, "replacement", rng)]
+        )
+        freq = np.bincount(draws, minlength=4) / 40000.0
+        se = np.sqrt(0.25 * 0.75 / 40000.0)
+        assert np.all(np.abs(freq - 0.25) < 3 * se), freq
 
 
 def _small_cfg(**overrides):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 
 from fdcheck import assert_grad_close, fd_grad, fd_grad_matrix, fd_grad_matrix_sym
 from stochgp._linalg import NotPositiveDefiniteError, symmetrize
-from stochgp.data import IndexBatch
 from stochgp.features import LinearMap, MLPMap, MLPSpec
 from stochgp.objective import (
     HyperParams,
@@ -748,16 +747,3 @@ class TestOptimizerCoincidence:
         )
         assert s_out.theta.noise_variance == pytest.approx(b_out.noise_variance, rel=1e-12)
 
-
-class TestIndexBatchInterop:
-    def test_steps_accept_index_batch(self):
-        fmap, theta, X, y = small_instance(42, n=8)
-        batch = IndexBatch(np.array([1, 5]), n=8, s=2)
-        zeta, dual = minimax_init(fmap, theta, X)
-        cfg = MinimaxConfig(primal_rate=1e-4, dual_rate=1e-3)
-        z2, _ = minimax_step(fmap, zeta, dual, X, y, batch, batch, cfg)
-        st = scgd_step(fmap, scgd_init(fmap, theta, X), X, y, batch, 1e-4, 0.5)
-        th = bsgd_step(fmap, theta, X, y, batch, 1e-4)
-        assert np.all(np.isfinite(z2.theta.weights))
-        assert st.step == 1
-        assert np.all(np.isfinite(th.weights))
