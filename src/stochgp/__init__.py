@@ -3,10 +3,12 @@
 The covariance is k(x, x') = phi(x)^T phi(x') for a parameterized feature map
 phi: R^p -> R^d, so the n x n kernel-space negative log marginal likelihood
 collapses to a d-dimensional ridge problem plus a d x d log-determinant. The
-package provides the per-sample decomposition of that loss, three stochastic
-optimizers over it (a penalty-based minimax method, a compositional two-rate
-method, and the biased batch baseline), exact oracles for validation, and an
-experiment harness with a command-line front end.
+package provides three stochastic optimizers over the per-sample split of
+that loss (a penalty-based minimax method, a compositional two-rate method,
+and the biased batch baseline) and an experiment harness with a command-line
+front end. The reference computations that check them (per-sample terms,
+exact oracles) are in :mod:`stochgp.oracles`, which only ``stochgp check``
+and the tests import; ``posterior`` is library API that no run calls.
 """
 
 from stochgp.data import Dataset, Scaler, load_csv, split, standardize
@@ -22,28 +24,14 @@ from stochgp.features import (
     compose,
     rff_init,
 )
-from stochgp.objective import (
-    HyperParams,
-    ThetaGrad,
-    exact_nll_oracle,
-    full_loss,
-    grad_theta_of_linearized,
-    info_matrix,
-    logdet_psd,
-    ridge_closed_form,
-    ridge_identity_check,
-    sample_info_term,
-    sample_loss_term,
-)
+from stochgp.objective import HyperParams, ThetaGrad, info_matrix
 from stochgp.optim import (
     AugmentedState,
     MinimaxConfig,
     SCGDState,
     Schedule,
     bsgd_step,
-    minimax_batch_grads,
     minimax_init,
-    minimax_sample_objective,
     minimax_step,
     project_dual_ball,
     project_primal,

@@ -1,6 +1,7 @@
-"""Shared dense linear-algebra kernels.
+"""Shared dense linear-algebra kernels: the ones a run calls.
 
-All helpers assume float64 and go through raw LAPACK/BLAS handles. The
+The reference computations of :mod:`stochgp.oracles` build on them too. All
+helpers assume float64 and go through raw LAPACK/BLAS handles. The
 Python-level scipy wrappers cost tens of microseconds per call, which is
 real money in the optimizer hot path at small d, and the gemm-based inverse
 keeps the cubic work in a BLAS3 kernel with flat efficiency across sizes.
@@ -12,18 +13,19 @@ directory without importing the ``scipy.linalg`` package: its ``__init__``
 pulls in much of scipy's pure-Python machinery and would be most of the
 import time of this package, for five functions. The top-level ``scipy``
 package is imported first, so whatever library set-up the installed wheel
-does on import still runs. Each extension is registered in ``sys.modules``
-under its canonical name, and one already there is reused, so a later
-``import scipy.linalg`` finds the same module: ``get_lapack_funcs`` and
-``get_blas_funcs`` then return the very objects bound here. Run records
-therefore depend on scipy's LAPACK/BLAS build, not numpy's.
+does on import still runs. An extension already in ``sys.modules`` is
+reused; one loaded here is registered there under its canonical name and
+handed over to a later ``import scipy.linalg`` (see ``_Handoff``). Either
+way ``scipy.linalg._flapack`` is the module bound here and
+``get_lapack_funcs``/``get_blas_funcs`` return the very objects bound here,
+so run records depend on scipy's LAPACK/BLAS build, not numpy's.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
@@ -39,11 +41,39 @@ __all__ = [
     "frobenius",
     "logdet_from_chol",
     "spd_inverse",
-    "spd_solve",
     "symmetrize",
     "gram",
     "tri_inverse_lower",
 ]
+
+
+class _Handoff(dict):
+    """Meta-path finder and loader that hands scipy.linalg the extensions loaded here.
+
+    The import system binds a submodule to its package only when it loads
+    it, and it loads only what is not in ``sys.modules``. So when
+    ``scipy.linalg`` is about to be imported, the extensions (keyed here by
+    full name) leave ``sys.modules``, and its own import of them gets the
+    same module objects back from this loader, once.
+    """
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.linalg":
+            for full in self:
+                sys.modules.pop(full, None)
+        elif name in self:
+            return ModuleSpec(name, self, origin=self[name].__file__)
+        return None
+
+    def create_module(self, spec):
+        return self.pop(spec.name)
+
+    def exec_module(self, module):
+        pass
+
+
+_HANDOFF = _Handoff()
+sys.meta_path.insert(0, _HANDOFF)
 
 
 def _extension(name: str):
@@ -62,7 +92,7 @@ def _extension(name: str):
         )
     spec = spec_from_file_location(full, path, loader=ExtensionFileLoader(full, str(path)))
     module = module_from_spec(spec)
-    sys.modules[full] = module
+    sys.modules[full] = _HANDOFF[full] = module
     spec.loader.exec_module(module)
     return module
 
@@ -154,11 +184,6 @@ def tri_inverse_lower(L: np.ndarray) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError("trtri failed with info %d" % info)
     return Li
-
-
-def spd_solve(A: np.ndarray, B: np.ndarray, context: str = "") -> np.ndarray:
-    """Solve A X = B for SPD A. B may be a vector or a matrix."""
-    return chol_solve(chol_lower(A, context), B)
 
 
 def frobenius(A: np.ndarray) -> float:

@@ -3,9 +3,10 @@
 ``run`` executes one experiment at a fixed learning rate, ``grid`` sweeps a
 rate grid and keeps the best run, ``synth`` writes a synthetic dataset to
 CSV, ``table`` merges saved run files into a comparison table (and says why
-each cell that reads "diverged" diverged), and ``check`` exercises the
-library's internal consistency identities after a line naming the LAPACK and
-BLAS extension files and BLAS thread settings they run on.
+each cell that reads "diverged" diverged), and ``check`` runs the
+consistency identities of :mod:`stochgp.oracles` (imported only then) after a
+line naming the LAPACK and BLAS extension files and BLAS thread settings they
+run on.
 
 The experiment flags of ``run`` and ``grid`` are the fields of
 ``harness.ExperimentConfig``, which declares each setting's name, type,
@@ -29,31 +30,8 @@ from pathlib import Path
 from types import UnionType
 from typing import Callable, Literal, NamedTuple, get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from stochgp import _linalg, harness
-from stochgp._linalg import symmetrize
-from stochgp.features import MLPMap, MLPSpec
-from stochgp.objective import (
-    HyperParams,
-    exact_nll_oracle,
-    full_loss,
-    logdet_psd,
-    ridge_closed_form,
-    ridge_identity_check,
-    sample_info_term,
-    sample_loss_term,
-)
-from stochgp.optim import (
-    AugmentedState,
-    bsgd_step,
-    minimax_batch_grads,
-    minimax_sample_objective,
-    project_dual_ball,
-    project_primal,
-    scgd_init,
-    scgd_step,
-)
+
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -305,114 +283,10 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _self_checks():
-    """Yield (name, passed, detail) for the built-in consistency identities."""
-    rng = np.random.default_rng(7)
-
-    worst = 0.0
-    for _ in range(20):
-        m, k = int(rng.integers(2, 30)), int(rng.integers(1, 12))
-        V = rng.normal(size=(m, k))
-        b = rng.normal(size=m)
-        lam = float(rng.uniform(0.1, 2.0))
-        lhs, rhs = ridge_identity_check(V, b, lam)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    yield "matrix-determinant ridge identity (20 instances)", worst < 1e-8, (
-        "worst relative error %.2e" % worst
-    )
-
-    fmap = MLPMap(MLPSpec(3, (4, 2)))
-    params = fmap.init_params(0)
-    n = 6
-    X = rng.normal(size=(n, 3))
-    y = rng.normal(size=n)
-    theta = HyperParams(rng.normal(size=2) * 0.5, params, 0.7)
-
-    total = sum(sample_loss_term(fmap, theta, X[i], y[i], n) for i in range(n))
-    F = sum(sample_info_term(fmap, theta, X[i], n) for i in range(n))
-    err = abs(total + logdet_psd(F) - full_loss(fmap, theta, X, y))
-    yield "per-sample loss decomposition", err < 1e-10, "absolute error %.2e" % err
-
-    Z = fmap.forward(params, X).Z
-    w_hat = ridge_closed_form(Z, y, theta.noise_variance)
-    at_min = full_loss(fmap, HyperParams(w_hat, params, theta.noise_variance), X, y)
-    oracle = exact_nll_oracle(fmap, params, theta.noise_variance, X, y)
-    rel = abs(at_min - oracle) / max(abs(oracle), 1.0)
-    yield "ridge minimum equals covariance-form NLL", rel < 1e-8, (
-        "relative error %.2e" % rel
-    )
-
-    G = rng.normal(size=(2, 2))
-    A = G @ G.T + 1.5 * np.eye(2)
-    B = rng.normal(size=(2, 2)) * 0.3
-    zeta = AugmentedState(theta, A)
-    penalty = 0.8
-
-    def theta_objective(w):
-        z = AugmentedState(HyperParams(w, params, theta.noise_variance), A)
-        return sum(
-            minimax_sample_objective(fmap, z, B, X[i], y[i], n, penalty)
-            for i in range(n)
-        )
-
-    g_theta, _, _ = minimax_batch_grads(fmap, zeta, B, X, y, n, penalty)
-    h = 1e-6
-    rel_worst = 0.0
-    for j in range(theta.weights.shape[0]):
-        w_plus = theta.weights.copy()
-        w_plus[j] += h
-        w_minus = theta.weights.copy()
-        w_minus[j] -= h
-        fd = (theta_objective(w_plus) - theta_objective(w_minus)) / (2 * h)
-        rel_worst = max(rel_worst, abs(g_theta.weights[j] - fd) / max(abs(fd), 1e-8))
-    yield "penalized objective gradient spot check", rel_worst < 1e-4, (
-        "worst relative error %.2e" % rel_worst
-    )
-
-    ok = True
-    for _ in range(200):
-        raw = AugmentedState(
-            HyperParams(
-                rng.normal(size=2) * 10,
-                params,
-                float(rng.uniform(1e-9, 2.0)),
-            ),
-            symmetrize(rng.normal(size=(2, 2)) * 2.0),
-        )
-        proj = project_primal(raw, 1e-2, 1e3, 1e3)
-        again = project_primal(proj, 1e-2, 1e3, 1e3)
-        eigs = np.linalg.eigvalsh(proj.info_surrogate)
-        feas = (
-            proj.theta.noise_variance >= 1e-4 - 1e-12
-            and eigs.min() >= proj.theta.noise_variance - 1e-9
-            and bool(np.all(np.abs(proj.theta.weights) <= 1e3 + 1e-9))
-        )
-        same = (
-            np.linalg.norm(again.theta.weights - proj.theta.weights) < 1e-12
-            and abs(again.theta.noise_variance - proj.theta.noise_variance) < 1e-12
-            and np.linalg.norm(again.info_surrogate - proj.info_surrogate) < 1e-12
-        )
-        Braw = rng.normal(size=(2, 2)) * 3
-        Bp = project_dual_ball(Braw)
-        in_ball = np.linalg.norm(Bp, "fro") <= 1.0 + 1e-12
-        fixed = np.linalg.norm(project_dual_ball(Bp) - Bp) < 1e-12
-        ok = ok and feas and same and in_ball and fixed
-    yield "projection feasibility and idempotence (200 states)", ok, ""
-
-    state = scgd_init(fmap, theta, X)
-    full = np.arange(n)
-    s_next = scgd_step(fmap, state, X, y, full, 1e-3, 1.0)
-    b_next = bsgd_step(fmap, theta, X, y, full, 1e-3)
-    gap = (
-        np.linalg.norm(s_next.theta.weights - b_next.weights)
-        + np.linalg.norm(s_next.theta.feature_params.flat - b_next.feature_params.flat)
-        + abs(s_next.theta.noise_variance - b_next.noise_variance)
-    )
-    yield "full-batch optimizer coincidence", gap < 1e-12, "parameter gap %.2e" % gap
-
-
 def cmd_check(args) -> int:
     del args
+    from stochgp.oracles import self_checks
+
     # which LAPACK/BLAS build and thread setting the numbers below come from
     threads = (
         "%s=%s" % (var, os.environ.get(var, "unset"))
@@ -423,7 +297,7 @@ def cmd_check(args) -> int:
         % (_linalg._flapack.__file__, _linalg._fblas.__file__, ", ".join(threads))
     )
     failures = 0
-    for name, passed, detail in _self_checks():
+    for name, passed, detail in self_checks():
         tag = "ok" if passed else "FAIL"
         suffix = (" - " + detail) if detail else ""
         print("[%s] %s%s" % (tag, name, suffix))

@@ -1,4 +1,4 @@
-"""Marginal-likelihood loss in ridge form, its per-sample split, and exact oracles.
+"""Marginal-likelihood loss in ridge form: its parameters and its gradient body.
 
 With features Z = phi(X) in R^{n x d} and noise variance s2, the loss being
 minimized over (weights, feature params, noise) is
@@ -6,11 +6,13 @@ minimized over (weights, feature params, noise) is
     (1/s2) ||Z w - y||^2 + ||w||^2 + logdet(Z^T Z + s2 I) + (n - d) log s2.
 
 At the ridge minimizer over w this equals the kernel-space quantity
-y^T (Z Z^T + s2 I)^{-1} y + logdet(Z Z^T + s2 I), which is what
-``exact_nll_oracle`` computes directly at test scale. The loss splits into a
+y^T (Z Z^T + s2 I)^{-1} y + logdet(Z Z^T + s2 I). The loss splits into a
 sum of per-sample scalar terms plus a log-determinant of a sum of per-sample
 matrix terms; the stochastic optimizers in :mod:`stochgp.optim` are built on
-that split.
+that split. This module holds what a run executes: the parameter point, the
+information matrix and the linearized-gradient body the steps share. The
+reference computations that check it (the per-sample terms, the whole loss,
+the kernel-space oracle) are in :mod:`stochgp.oracles`.
 """
 
 from __future__ import annotations
@@ -21,22 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stochgp._linalg import chol_lower, chol_solve, diagonal, gram, logdet_from_chol, spd_solve
+from stochgp._linalg import gram
 from stochgp.features import FeatureBatch, FeatureMap, FeatureMapParams
 
-__all__ = [
-    "HyperParams",
-    "ThetaGrad",
-    "exact_nll_oracle",
-    "full_loss",
-    "grad_theta_of_linearized",
-    "info_matrix",
-    "logdet_psd",
-    "ridge_closed_form",
-    "ridge_identity_check",
-    "sample_info_term",
-    "sample_loss_term",
-]
+__all__ = ["HyperParams", "ThetaGrad", "info_matrix"]
 
 
 @dataclass(frozen=True)
@@ -103,137 +93,10 @@ def _check_noise(noise_variance: float) -> float:
     return s2
 
 
-def sample_loss_term(
-    fmap: FeatureMap,
-    theta: HyperParams,
-    x: np.ndarray,
-    y: float,
-    n_total: int,
-) -> float:
-    """Scalar loss share of one sample.
-
-    (1/s2) (phi(x)^T w - y)^2 + (1/n) ||w||^2 + ((n - d)/n) log s2.
-    """
-    s2 = _check_noise(theta.noise_variance)
-    n = int(n_total)
-    d = fmap.output_dim
-    phi = fmap.forward(theta.feature_params, np.asarray(x, dtype=np.float64)[None, :]).Z[0]
-    r = float(phi @ theta.weights) - float(y)
-    return r * r / s2 + float(theta.weights @ theta.weights) / n + (n - d) / n * np.log(s2)
-
-
-def sample_info_term(
-    fmap: FeatureMap,
-    theta: HyperParams,
-    x: np.ndarray,
-    n_total: int,
-) -> np.ndarray:
-    """Matrix share of one sample: phi(x) phi(x)^T + (s2/n) I, a d x d array."""
-    s2 = _check_noise(theta.noise_variance)
-    n = int(n_total)
-    phi = fmap.forward(theta.feature_params, np.asarray(x, dtype=np.float64)[None, :]).Z[0]
-    F = np.outer(phi, phi)
-    diagonal(F)[...] += s2 / n
-    return F
-
-
 def info_matrix(fmap: FeatureMap, theta: HyperParams, X: np.ndarray) -> np.ndarray:
     """Z^T Z + s2 I over the whole design matrix, the d x d information matrix."""
     s2 = _check_noise(theta.noise_variance)
     return gram(fmap.forward(theta.feature_params, X).Z, s2)
-
-
-def logdet_psd(A: np.ndarray) -> float:
-    """Log-determinant via Cholesky; raises NotPositiveDefiniteError with the pivot."""
-    return logdet_from_chol(chol_lower(np.asarray(A, dtype=np.float64), "logdet"))
-
-
-def full_loss(fmap: FeatureMap, theta: HyperParams, X: np.ndarray, y: np.ndarray) -> float:
-    """The whole-dataset loss l(theta); see the module docstring for the formula."""
-    s2 = _check_noise(theta.noise_variance)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = X.shape[0]
-    d = fmap.output_dim
-    Z = fmap.forward(theta.feature_params, X).Z
-    resid = Z @ theta.weights - y
-    return (
-        float(resid @ resid) / s2
-        + float(theta.weights @ theta.weights)
-        + logdet_psd(gram(Z, s2))
-        + (n - d) * np.log(s2)
-    )
-
-
-def ridge_closed_form(Z: np.ndarray, y: np.ndarray, sigma2: float) -> np.ndarray:
-    """Minimizer of (1/s2) ||Z w - y||^2 + ||w||^2, i.e. (Z^T Z + s2 I)^{-1} Z^T y."""
-    s2 = _check_noise(sigma2)
-    Z = np.asarray(Z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return spd_solve(gram(Z, s2), Z.T @ y, "ridge solve")
-
-
-def exact_nll_oracle(
-    fmap: FeatureMap,
-    feature_params: FeatureMapParams,
-    sigma2: float,
-    X: np.ndarray,
-    y: np.ndarray,
-) -> float:
-    """Kernel-space reference value y^T (Z Z^T + s2 I)^{-1} y + logdet(Z Z^T + s2 I).
-
-    Forms the n x n covariance explicitly, so intended for test-scale n only.
-    """
-    s2 = _check_noise(sigma2)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    Z = fmap.forward(feature_params, X).Z
-    L = chol_lower(gram(Z.T, s2), "kernel covariance")
-    quad = float(y @ chol_solve(L, y))
-    return quad + logdet_from_chol(L)
-
-
-def ridge_identity_check(V: np.ndarray, b: np.ndarray, lam: float) -> tuple[float, float]:
-    """Both sides of the dual-ridge identity, for direct numerical comparison.
-
-    lhs = b^T (V V^T + lam I)^{-1} b, rhs = the primal ridge objective
-    (1/lam) ||V w - b||^2 + ||w||^2 at its closed-form minimizer.
-    """
-    lam = _check_noise(lam)
-    V = np.asarray(V, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    lhs = float(b @ spd_solve(gram(V.T, lam), b, "dual ridge"))
-    w = ridge_closed_form(V, b, lam)
-    r = V @ w - b
-    rhs = float(r @ r) / lam + float(w @ w)
-    return lhs, rhs
-
-
-def grad_theta_of_linearized(
-    fmap: FeatureMap,
-    theta: HyperParams,
-    X_batch: np.ndarray,
-    y_batch: np.ndarray,
-    M: np.ndarray,
-    n_total: int,
-) -> ThetaGrad:
-    """Gradient over theta of sum_{i in batch} [loss_term_i + <M, info_term_i>].
-
-    M is held fixed (it plays the role of an inverse information-matrix
-    estimate). The feature-direction upstream for sample i is
-    (2/s2) r_i w + (M + M^T) phi_i, routed through the map's backward pass;
-    (M + M^T) phi reduces to 2 M phi for the symmetric M used in practice but
-    keeps finite-difference checks honest for arbitrary M.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    d = fmap.output_dim
-    if M.shape != (d, d):
-        raise ValueError("M must be %d x %d, got %s" % (d, d, M.shape))
-    X_batch = np.asarray(X_batch, dtype=np.float64)
-    batch = fmap.forward(theta.feature_params, X_batch)
-    return _linearized_core(
-        fmap, theta, batch, y_batch, batch.Z @ (M + M.T), float(np.trace(M)), n_total
-    )
 
 
 def _linearized_core(
@@ -245,9 +108,11 @@ def _linearized_core(
     trace_M: float,
     n_total: int,
 ) -> ThetaGrad:
-    """Gradient body shared with the optimizer steps, given precomputed features.
+    """Gradient over theta of the batch loss linearized at M, given the batch's features.
 
-    M enters only through ZM = Z (M + M^T), the s x d coupling term of the
+    That loss is sum_{i in batch} [loss_term_i + <M, info_term_i>]; the step
+    rules, the evaluator and ``oracles.grad_theta_of_linearized`` share this
+    body. M enters only through ZM = Z (M + M^T), the s x d coupling term of the
     feature upstream, and its trace, the noise-variance term. Callers form
     them however suits their M: the step rules and the evaluator multiply by
     an explicit M, ``scgd_step`` applies the tracker's inverse through its

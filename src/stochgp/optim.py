@@ -20,7 +20,8 @@ Three step rules share the per-sample split from :mod:`stochgp.objective`:
 
 Per-batch stochastic gradients of the penalty objective are unbiased: the
 batch estimate is (n/s) times the sum over a uniformly drawn batch of s
-sample terms.
+sample terms. The per-sample penalized objective and its batch gradients
+as one call are in :mod:`stochgp.oracles`, which checks them.
 """
 
 from __future__ import annotations
@@ -44,15 +45,7 @@ from stochgp._linalg import (
     try_chol_lower,
 )
 from stochgp.features import FeatureMap, FeatureMapParams
-from stochgp.objective import (
-    HyperParams,
-    ThetaGrad,
-    _linearized_core,
-    info_matrix,
-    logdet_psd,
-    sample_info_term,
-    sample_loss_term,
-)
+from stochgp.objective import HyperParams, ThetaGrad, _linearized_core, info_matrix
 
 __all__ = [
     "AugmentedState",
@@ -60,9 +53,7 @@ __all__ = [
     "SCGDState",
     "Schedule",
     "bsgd_step",
-    "minimax_batch_grads",
     "minimax_init",
-    "minimax_sample_objective",
     "minimax_step",
     "project_dual_ball",
     "project_primal",
@@ -182,51 +173,6 @@ def _surrogate_norm(A: np.ndarray) -> float:
     return norm
 
 
-def minimax_sample_objective(
-    fmap: FeatureMap,
-    zeta: AugmentedState,
-    dual: np.ndarray,
-    x: np.ndarray,
-    y: float,
-    n_total: int,
-    penalty: float,
-) -> float:
-    """One sample's share of the penalized objective.
-
-    loss_term + (1/n) logdet(A) + penalty * <B, A/n - info_term> / ||A||_F.
-    Summed over the whole dataset this telescopes to the full loss when
-    A equals the assembled information matrix, for any B.
-    """
-    A = zeta.info_surrogate
-    norm = _surrogate_norm(A)
-    n = int(n_total)
-    g = sample_loss_term(fmap, zeta.theta, x, y, n)
-    C = A / n - sample_info_term(fmap, zeta.theta, x, n)
-    return g + logdet_psd(A) / n + penalty * float(np.sum(dual * C)) / norm
-
-
-def minimax_batch_grads(
-    fmap: FeatureMap,
-    zeta: AugmentedState,
-    dual: np.ndarray,
-    X_batch: np.ndarray,
-    y_batch: np.ndarray,
-    n_total: int,
-    penalty: float,
-) -> tuple[ThetaGrad, np.ndarray, np.ndarray]:
-    """Gradients of (n/s) * sum over the batch of the penalized sample objective.
-
-    Returns (theta blocks, surrogate-matrix block, dual block). The surrogate
-    block is symmetrized since A ranges over symmetric matrices; the dual
-    block is penalty * (A - (n/s) * batch info sum) / ||A||_F.
-    """
-    B = _square_f64(dual, zeta.theta.d, "dual")
-    X_batch = np.asarray(X_batch, dtype=np.float64)
-    n, s = int(n_total), X_batch.shape[0]
-    g_theta, g_A, info_sum = _primal_grads(fmap, zeta, B, X_batch, y_batch, n, penalty)
-    return g_theta, g_A, _dual_grad(zeta.info_surrogate, info_sum, n, s, penalty)
-
-
 def _primal_grads(
     fmap: FeatureMap,
     zeta: AugmentedState,
@@ -236,7 +182,11 @@ def _primal_grads(
     n: int,
     penalty: float,
 ) -> tuple[ThetaGrad, np.ndarray, np.ndarray]:
-    """(theta blocks, symmetrized surrogate block, batch info sum) at zeta."""
+    """(theta blocks, symmetrized surrogate block, batch info sum) at zeta.
+
+    The blocks are the gradients of (n/s) times the batch sum of
+    ``oracles.minimax_sample_objective``.
+    """
     theta = zeta.theta
     A = zeta.info_surrogate
     norm = _surrogate_norm(A)

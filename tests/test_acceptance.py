@@ -19,29 +19,28 @@ import pytest
 from fdcheck import fd_grad, fd_grad_matrix, fd_grad_matrix_sym
 from stochgp.features import LinearMap, MLPMap, MLPSpec, rff_init
 from stochgp.harness import ExperimentConfig, SynthSpec, grid_search
-from stochgp.objective import (
-    HyperParams,
-    exact_nll_oracle,
-    full_loss,
-    info_matrix,
-    logdet_psd,
-    ridge_closed_form,
-    ridge_identity_check,
-    sample_info_term,
-    sample_loss_term,
-)
+from stochgp.objective import HyperParams, info_matrix
 from stochgp.optim import (
     AugmentedState,
     MinimaxConfig,
     bsgd_step,
-    minimax_batch_grads,
     minimax_init,
-    minimax_sample_objective,
     minimax_step,
     project_dual_ball,
     project_primal,
     scgd_init,
     scgd_step,
+)
+from stochgp.oracles import (
+    exact_nll_oracle,
+    full_loss,
+    logdet_psd,
+    minimax_batch_grads,
+    minimax_sample_objective,
+    ridge_closed_form,
+    ridge_identity_check,
+    sample_info_term,
+    sample_loss_term,
 )
 
 

@@ -483,3 +483,16 @@ class TestCheckCommand:
             "linalg: LAPACK %s, BLAS %s; OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=unset"
             % (lapack, blas)
         )
+
+    def test_check_names(self, capsys):
+        assert main(["check"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [line.split("] ", 1)[1].split(" - ", 1)[0] for line in lines if line[:1] == "["]
+        assert names == [
+            "matrix-determinant ridge identity (20 instances)",
+            "per-sample loss decomposition",
+            "ridge minimum equals covariance-form NLL",
+            "penalized objective gradient spot check",
+            "projection feasibility and idempotence (200 states)",
+            "full-batch optimizer coincidence",
+        ]

@@ -27,12 +27,8 @@ from stochgp.harness import (
     run_experiment,
     write_run,
 )
-from stochgp.objective import (
-    HyperParams,
-    exact_nll_oracle,
-    grad_theta_of_linearized,
-    info_matrix,
-)
+from stochgp.objective import HyperParams, info_matrix
+from stochgp.oracles import exact_nll_oracle, grad_theta_of_linearized
 
 
 class TestSynthSpec:

@@ -6,13 +6,11 @@ import pytest
 from fdcheck import assert_grad_close, complex_step_grad, fd_grad
 from stochgp._linalg import NotPositiveDefiniteError
 from stochgp.features import LinearMap, MLPMap, MLPSpec
-from stochgp.objective import (
-    HyperParams,
-    ThetaGrad,
+from stochgp.objective import HyperParams, ThetaGrad, info_matrix
+from stochgp.oracles import (
     exact_nll_oracle,
     full_loss,
     grad_theta_of_linearized,
-    info_matrix,
     logdet_psd,
     ridge_closed_form,
     ridge_identity_check,

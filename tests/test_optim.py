@@ -9,31 +9,30 @@ from hypothesis import given, settings
 
 from fdcheck import assert_grad_close, fd_grad, fd_grad_matrix, fd_grad_matrix_sym
 from stochgp._linalg import NotPositiveDefiniteError, symmetrize
-from stochgp.features import LinearMap, MLPMap, MLPSpec
-from stochgp.objective import (
-    HyperParams,
-    full_loss,
-    grad_theta_of_linearized,
-    info_matrix,
-    logdet_psd,
-    sample_info_term,
-    sample_loss_term,
-)
+from stochgp.features import LinearMap, MLPMap, MLPSpec, compose, rff_init
+from stochgp.objective import HyperParams, info_matrix
 from stochgp.optim import (
     AugmentedState,
     MinimaxConfig,
     SCGDState,
     Schedule,
     bsgd_step,
-    minimax_batch_grads,
     minimax_init,
-    minimax_sample_objective,
     minimax_step,
     project_dual_ball,
     project_primal,
     scgd_init,
     scgd_step,
     schedule_at,
+)
+from stochgp.oracles import (
+    full_loss,
+    grad_theta_of_linearized,
+    logdet_psd,
+    minimax_batch_grads,
+    minimax_sample_objective,
+    sample_info_term,
+    sample_loss_term,
 )
 
 
@@ -747,3 +746,79 @@ class TestOptimizerCoincidence:
         )
         assert s_out.theta.noise_variance == pytest.approx(b_out.noise_variance, rel=1e-12)
 
+
+def drawn_instance(kind, seed, n, p=2):
+    """A map of one kind (MLP 2 -> 3 -> 2 inside), a parameter point and n rows, from seed."""
+    rng = np.random.default_rng(seed)
+    fmap = LinearMap(p) if kind == "linear" else MLPMap(MLPSpec(p, (3, 2)))
+    if kind == "mlp+rff":
+        fmap = compose(rff_init(q=2, D=4, u1=1.0, u2=1.0, seed=seed), fmap)
+    d = fmap.output_dim
+    sigma2 = float(rng.uniform(0.5, 1.0))
+    theta = HyperParams(0.5 * rng.normal(size=d), fmap.init_params(seed + 1), sigma2)
+    return fmap, theta, rng.normal(size=(n, p)), rng.normal(size=n), rng
+
+
+def step_direction(theta, stepped, a):
+    return np.concatenate(
+        [
+            theta.weights - stepped.weights,
+            theta.feature_params.flat - stepped.feature_params.flat,
+            [theta.noise_variance - stepped.noise_variance],
+        ]
+    ) / a
+
+
+class TestExactnessProperties:
+    """The paper's exactness claims over drawn instances; test_03/test_04 fix one each."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["linear", "mlp", "mlp+rff"]),
+        n=st.integers(3, 6),
+        s=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_minimax_batch_gradients_average_to_the_full_gradient(self, kind, n, s, seed):
+        fmap, theta, X, y, rng = drawn_instance(kind, seed, n)
+        d = fmap.output_dim
+        zeta = AugmentedState(theta, feasible_surrogate(rng, d, theta.noise_variance))
+        B = 0.3 * rng.normal(size=(d, d))
+        mu = float(rng.uniform(0.5, 2.0))
+
+        def blocks(idx):
+            g_theta, g_A, g_B = minimax_batch_grads(fmap, zeta, B, X[idx], y[idx], n, mu)
+            return np.concatenate(
+                [
+                    g_theta.weights,
+                    g_theta.feature_params,
+                    [g_theta.noise_variance],
+                    g_A.ravel(),
+                    g_B.ravel(),
+                ]
+            )
+
+        full = blocks(np.arange(n))
+        scale = max(1.0, float(np.abs(full).max()))
+        for batches in (
+            list(itertools.product(range(n), repeat=s)),  # ordered, with replacement
+            list(itertools.combinations(range(n), s)),  # every s-subset
+        ):
+            mean = sum(blocks(list(b)) for b in batches) / len(batches)
+            assert float(np.abs(mean - full).max()) <= 1e-10 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["linear", "mlp", "mlp+rff"]),
+        n=st.integers(3, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scgd_at_the_exact_tracker_is_bsgd_on_the_full_batch(self, kind, n, seed):
+        fmap, theta, X, y, _ = drawn_instance(kind, seed, n)
+        a = 1e-2
+        full = np.arange(n)
+        state = SCGDState(theta, info_matrix(fmap, theta, X))
+        dir_s = step_direction(theta, scgd_step(fmap, state, X, y, full, a, 1.0).theta, a)
+        dir_b = step_direction(theta, bsgd_step(fmap, theta, X, y, full, a), a)
+        scale = max(1.0, float(np.abs(dir_b).max()))
+        assert float(np.abs(dir_s - dir_b).max()) <= 1e-12 * scale
