@@ -151,18 +151,13 @@ def logdet_from_chol(L: np.ndarray) -> float:
 
 
 def spd_inverse(A: np.ndarray) -> np.ndarray:
-    """Dense inverse of an SPD matrix via potrf + trtri + gemm.
+    """Dense inverse of an SPD matrix: Li^T @ Li for Li the inverse of its Cholesky factor.
 
-    The result is exactly symmetric: it is formed as Li^T @ Li by one gemm,
-    whose (i, j) and (j, i) entries sum identical products in the same order.
+    The result is exactly symmetric: it is formed by one gemm, whose (i, j)
+    and (j, i) entries sum identical products in the same order. gemm reads
+    the full array, which chol_lower cleans above the diagonal.
     """
-    # clean=1 zeroes the upper triangle; gemm below reads the full array
-    L, info = _potrf(_as_f64(A), lower=1, overwrite_a=0, clean=1)
-    if info != 0:
-        raise NotPositiveDefiniteError(info)
-    Li, info = _trtri(L, lower=1, unitdiag=0, overwrite_c=1)
-    if info != 0:
-        raise NotPositiveDefiniteError(info, "triangular inverse")
+    Li = tri_inverse_lower(chol_lower(A))
     return _gemm(1.0, Li, Li, trans_a=1)
 
 

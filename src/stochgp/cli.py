@@ -173,7 +173,12 @@ def _config_from_args(args) -> harness.ExperimentConfig:
 
 
 def _out_dir(args) -> Path:
-    return Path(args.out) if args.out else harness.default_results_dir()
+    """The results directory, checked before training; write_run makes it after."""
+    out = Path(args.out) if args.out else harness.default_results_dir()
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError("results directory %s: %s is not a directory" % (out, nearest))
+    return out
 
 
 def _print_record(record: harness.RunRecord):
@@ -200,8 +205,9 @@ def cmd_run(args) -> int:
     if cfg.learning_rate is None:
         print("error: run requires --rate (or rate= in the config file)", file=sys.stderr)
         return 2
+    out = _out_dir(args)
     record = harness.run_experiment(cfg)
-    paths = harness.write_run(record, _out_dir(args), cfg.run_name(record.rate))
+    paths = harness.write_run(record, out, cfg.run_name(record.rate))
     _print_record(record)
     for path in paths:
         print("wrote %s" % path)
@@ -258,8 +264,13 @@ def cmd_table(args) -> int:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError):
             continue
-        if doc.get("format") == "stochgp-run":
-            docs.append(doc)
+        if not isinstance(doc, dict) or doc.get("format") != "stochgp-run":
+            continue
+        try:
+            harness.assemble_table([doc])  # reads every key the table reads
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError("%s: incomplete run file (%r)" % (path, exc)) from None
+        docs.append(doc)
     if not docs:
         print("error: no run files found in %s" % run_dir, file=sys.stderr)
         return 1
@@ -373,21 +384,22 @@ def parse_args(argv) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     # bad input is a usage error, not a crash: a bad flag or config value, a
-    # missing file, data that do not load (an unknown target column, a bad
-    # cell, a ragged row). Past loading, a run records a failing step as a
-    # divergence instead of raising, so a ValueError here names an input.
+    # path that cannot be read or written, data that do not load (an unknown
+    # target column, a bad cell, a ragged row). Past loading, a run records a
+    # failing step as a divergence instead of raising, so a ValueError or
+    # OSError here names an input.
     try:
         args = parse_args(list(sys.argv[1:] if argv is None else argv))
         code = args.func(args)
         sys.stdout.flush()
-    except (ValueError, FileNotFoundError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader left early (``stochgp check | head -3``); point stdout at
         # devnull so the interpreter's flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (ValueError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     return code
 
 

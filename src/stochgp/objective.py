@@ -69,13 +69,6 @@ class ThetaGrad(NamedTuple):
     def scaled(self, c: float) -> "ThetaGrad":
         return ThetaGrad(c * self.weights, c * self.feature_params, c * self.noise_variance)
 
-    def added(self, other: "ThetaGrad") -> "ThetaGrad":
-        return ThetaGrad(
-            self.weights + other.weights,
-            self.feature_params + other.feature_params,
-            self.noise_variance + other.noise_variance,
-        )
-
     def norm(self) -> float:
         return float(
             np.sqrt(

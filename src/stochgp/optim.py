@@ -22,6 +22,11 @@ Per-batch stochastic gradients of the penalty objective are unbiased: the
 batch estimate is (n/s) times the sum over a uniformly drawn batch of s
 sample terms. The per-sample penalized objective and its batch gradients
 as one call are in :mod:`stochgp.oracles`, which checks them.
+
+All three rules descend through one body, ``_descend``. ``project_primal``
+takes a checked ``AugmentedState``: np.clip would pull an infinite
+coordinate back into the box, so projecting an unchecked point would let an
+overflowed step go on as if it were finite.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from stochgp._linalg import (
     tri_inverse_lower,
     try_chol_lower,
 )
-from stochgp.features import FeatureMap, FeatureMapParams
+from stochgp.features import FeatureMap
 from stochgp.objective import HyperParams, ThetaGrad, _linearized_core, info_matrix
 
 __all__ = [
@@ -250,59 +255,36 @@ def project_primal(
     non-expansive within each block for a fixed feasible set but not jointly;
     its fixed points are exactly the feasible states.
 
+    ``zeta`` must be a checked state (its constructors reject non-finite
+    blocks), because np.clip would pull an infinite coordinate back into the
+    box. From finite blocks every value below is finite, so the result is
+    assembled without checking it again.
+
     The eigendecomposition is skipped when a Cholesky certificate shows the
     shifted surrogate is already positive definite and the Frobenius norm
     (an upper bound on the top eigenvalue) clears the eigenvalue cap.
     """
     theta = zeta.theta
-    return _project(
-        theta.weights,
-        theta.feature_params.flat,
-        theta.noise_variance,
-        zeta.info_surrogate,
-        theta.feature_params,
-        sigma_min,
-        coord_bound,
-        eig_bound,
+    s2 = float(min(max(theta.noise_variance, sigma_min * sigma_min), coord_bound))
+    w = np.clip(theta.weights, -coord_bound, coord_bound)
+    alpha = theta.feature_params.with_flat(
+        np.clip(theta.feature_params.flat, -coord_bound, coord_bound)
     )
 
-
-def _project(
-    weights: np.ndarray,
-    flat: np.ndarray,
-    noise_variance: float,
-    A: np.ndarray,
-    like: FeatureMapParams,
-    sigma_min: float,
-    coord_bound: float,
-    eig_bound: float,
-) -> AugmentedState:
-    """project_primal on raw blocks; ``like`` supplies the feature-map layout.
-
-    The blocks are checked once, on entry: np.clip would pull an infinite
-    coordinate back into the box, so a check after the projection would let
-    an overflowed step go on. From finite blocks every value below is
-    finite, so the projected state is assembled without checking it again.
-    """
-    s2 = max(noise_variance, sigma_min * sigma_min)
-    if not np.isfinite(weights).all():
-        raise ValueError("weights contain non-finite entries")
-    if not math.isfinite(s2):
-        raise ValueError("noise_variance is not finite")
-    A = _square_f64(A, weights.shape[0], "info_surrogate")
-    s2 = float(min(s2, coord_bound))
-    w = np.clip(weights, -coord_bound, coord_bound)
-    alpha = like.with_flat(np.clip(flat, -coord_bound, coord_bound))
-
-    A = symmetrize(A)
+    A = symmetrize(zeta.info_surrogate)
     shifted = A.copy()
     diagonal(shifted)[...] -= s2
     if try_chol_lower(shifted) is None or frobenius(A) > eig_bound:
-        vals, vecs = np.linalg.eigh(A)
-        np.clip(vals, s2, eig_bound, out=vals)
-        A = symmetrize((vecs * vals) @ vecs.T)
+        A = _clamp_eigs(A, s2, eig_bound)
     theta = _unchecked(HyperParams, weights=w, feature_params=alpha, noise_variance=s2)
     return _unchecked(AugmentedState, theta=theta, info_surrogate=A)
+
+
+def _clamp_eigs(A: np.ndarray, lo: float, hi: float | None = None) -> np.ndarray:
+    """Symmetric A with its eigenvalues clipped to [lo, hi] (no cap for hi=None)."""
+    vals, vecs = np.linalg.eigh(A)
+    np.clip(vals, lo, hi, out=vals)
+    return symmetrize((vecs * vals) @ vecs.T)
 
 
 def _unchecked(cls, **fields):
@@ -357,18 +339,11 @@ def minimax_step(
         fmap, zeta, B, _rows(X, batch_primal), _rows(y, batch_primal), n, cfg.penalty
     )
     a = cfg.primal_rate
-    theta = zeta.theta
-    # the step of _descend; _project checks it and clamps the noise
-    zeta_next = _project(
-        theta.weights - a * g_theta.weights,
-        theta.feature_params.flat - a * g_theta.feature_params,
-        theta.noise_variance - a * g_theta.noise_variance,
-        zeta.info_surrogate - a * g_A,
-        theta.feature_params,
-        cfg.sigma_min,
-        cfg.coord_bound,
-        cfg.eig_bound,
+    # building the raw point checks it, as project_primal requires
+    raw = AugmentedState(
+        _descend(zeta.theta, g_theta, a, cfg.sigma_min), zeta.info_surrogate - a * g_A
     )
+    zeta_next = project_primal(raw, cfg.sigma_min, cfg.coord_bound, cfg.eig_bound)
 
     s2 = zeta_next.theta.noise_variance
     Z = fmap.forward(zeta_next.theta.feature_params, _rows(X, batch_dual)).Z
@@ -389,12 +364,6 @@ def _batch_info(Z: np.ndarray, n: int, noise_variance: float) -> np.ndarray:
     F = (n / Z.shape[0]) * gram(Z)
     diagonal(F)[...] += noise_variance
     return F
-
-
-def _floor_spd(F: np.ndarray, floor: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(F)
-    np.clip(vals, floor, None, out=vals)
-    return symmetrize((vecs * vals) @ vecs.T)
 
 
 def scgd_step(
@@ -427,7 +396,7 @@ def scgd_step(
     except NotPositiveDefiniteError:
         # the convex tracker update keeps this positive definite in exact
         # arithmetic; restore the floor and retry before giving up
-        F = _floor_spd(F, TRACKER_FLOOR)
+        F = _clamp_eigs(F, TRACKER_FLOOR)
         L = chol_lower(F, "tracked information matrix at iteration %d" % state.step)
 
     fb = fmap.forward(theta.feature_params, _rows(X, batch))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import stochgp
+from stochgp import harness
 from stochgp.cli import (
     _parse_bool,
     _parse_grid,
@@ -251,6 +252,8 @@ class TestRunCommand:
             (["--synth", "n=10,p=2,d=2"], "synth spec is missing sigma2"),
             (["--synth", SYNTH, "--batch-size", "0"], "batch_size must be at least 1"),
             (["--synth", SYNTH, "--grid", " , "], "empty learning-rate grid: ' , '"),
+            (["--data", "{tmp}"], "Is a directory"),
+            (["--synth", SYNTH, "--config", "{tmp}"], "Is a directory"),
         ],
     )
     def test_invalid_config_is_a_usage_error(self, tmp_path, capsys, argv, message):
@@ -286,6 +289,22 @@ class TestRunCommand:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_out_that_is_a_file_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained before the results directory was checked")
+
+        monkeypatch.setattr(harness, "_train", no_training)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for command in (["run", "--rate", "1e-3"], ["grid"]):
+            for out in (taken, taken / "res"):
+                code = main(command + ["--synth", SYNTH, "--out", str(out)])
+                assert code == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "is not a directory" in err
+                assert "Traceback" not in err
+        assert taken.read_text() == ""
 
     def test_target_by_position(self, tmp_path):
         data_csv = tmp_path / "toy.csv"
@@ -439,6 +458,39 @@ class TestTableCommand:
         assert not [line for line in printed if "bsgd diverged" in line]
         lines = table_csv.read_text().strip().splitlines()
         assert lines[1].startswith("%s,8,,diverged," % label)
+
+    def _one_run(self, out):
+        argv = ["run", "--synth", SYNTH, "--epochs", "1", "--rate", "1e-3", "--out", str(out)]
+        assert main(argv) == 0
+
+    def test_skips_json_that_is_not_an_object(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._one_run(out)
+        (out / "list.json").write_text("[1, 2]")
+        (out / "number.json").write_text("3")
+        capsys.readouterr()
+        assert main(["table", "--dir", str(out)]) == 0
+        assert "synth-linear-n100-p3-d3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "drop, message",
+        [(("best",), "KeyError('best')"), (("config", "optimizer"), "KeyError('optimizer')")],
+    )
+    def test_incomplete_run_file_is_a_usage_error(self, tmp_path, capsys, drop, message):
+        out = tmp_path / "res"
+        self._one_run(out)
+        doc = _run_json(out)
+        owner = doc
+        for key in drop[:-1]:
+            owner = owner[key]
+        del owner[drop[-1]]
+        bad = out / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["table", "--dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: " % bad) and message in err
+        assert "Traceback" not in err
 
     def test_empty_dir_exits_nonzero(self, tmp_path, capsys):
         code = main(["table", "--dir", str(tmp_path)])

@@ -5,9 +5,16 @@ The LAPACK/BLAS handles come from scipy's compiled extensions without the
 ``scipy.stats``; either way there is one copy of each extension. A run never
 loads the reference computations of ``stochgp.oracles``, and no training
 module holds one of them.
+
+The benchmark under ``benchmarks/`` reaches into the program at named
+seams: its tracer imports each module it wraps and replaces functions at
+the names their callers look up, and its worker stamps a run's first step
+by wrapping the step rules at ``stochgp.harness`` and ``stochgp.optim``.
+The tests at the end pin that those names are still the ones a run calls.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -15,9 +22,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-import stochgp
+import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import stochgp
+import stochgp.harness
+import stochgp.optim
+from stochgp.harness import OPTIMIZERS, ExperimentConfig, SynthSpec, run_experiment
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # the handles stochgp._linalg holds are the ones scipy.linalg hands out, and
 # its extension modules the ones scipy.linalg's wrappers use
@@ -157,3 +170,56 @@ def test_no_training_module_holds_an_oracle():
     for name in TRAINING_MODULES:
         held = sorted(defined & set(vars(modules[name])))
         assert not held, "stochgp.%s holds %s from stochgp.oracles" % (name, held)
+
+
+def test_every_module_the_tracer_wraps_imports():
+    # Tracer.install imports each one; a deleted or renamed module would crash --trace 1
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", ROOT / "benchmarks" / "layertrace.py"
+    )
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    names = sorted({target[0] for target in layertrace.TARGETS})
+    assert names
+    for name in names:
+        importlib.import_module(name)
+
+
+STEP_RULES = ("minimax_step", "scgd_step", "bsgd_step")
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_a_run_calls_its_step_rule_and_projection_by_module_attribute(monkeypatch, optimizer):
+    # the benchmark's worker wraps the step rules at these names and fails
+    # every workload when a run bypasses them; its tracer measures
+    # project_primal at stochgp.optim's name, which each minimax step calls
+    counts = {}
+    for module in (stochgp.harness, stochgp.optim):
+        for name in STEP_RULES:
+            if hasattr(module, name):
+                _count_calls(monkeypatch, module, name, counts)
+    _count_calls(monkeypatch, stochgp.optim, "project_primal", counts)
+    record = run_experiment(
+        ExperimentConfig(
+            synth=SynthSpec(n=40, p=3, d=3, sigma2=0.5),
+            optimizer=optimizer,
+            batch_size=8,
+            epochs=2,
+            learning_rate=1e-3,
+        )
+    )
+    assert not record.diverged
+    steps = counts.pop(optimizer + "_step", 0)
+    assert steps == 2 * 5  # two epochs of ceil(36 / 8) batches
+    assert counts.pop("project_primal", 0) == (steps if optimizer == "minimax" else 0)
+    assert counts == {}

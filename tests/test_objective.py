@@ -53,8 +53,9 @@ class TestHyperParams:
     def test_grad_helpers(self):
         g = ThetaGrad(np.array([3.0, 4.0]), np.array([0.0]), 0.0)
         assert g.norm() == pytest.approx(5.0)
-        h = g.scaled(2.0).added(g)
+        h = g.scaled(3.0)
         np.testing.assert_array_equal(h.weights, [9.0, 12.0])
+        assert h.norm() == pytest.approx(15.0)
 
 
 class TestSampleLossTerm:
