@@ -15,10 +15,12 @@ import time of this package, for five functions. The top-level ``scipy``
 package is imported first, so whatever library set-up the installed wheel
 does on import still runs. An extension already in ``sys.modules`` is
 reused; one loaded here is registered there under its canonical name and
-handed over to a later ``import scipy.linalg`` (see ``_Handoff``). Either
+handed over to a later import of its package (see ``_Handoff``). Either
 way ``scipy.linalg._flapack`` is the module bound here and
 ``get_lapack_funcs``/``get_blas_funcs`` return the very objects bound here,
-so run records depend on scipy's LAPACK/BLAS build, not numpy's.
+so run records depend on scipy's LAPACK/BLAS build, not numpy's. The same
+loader gives :mod:`stochgp.features` scipy's Sobol engine,
+``scipy.stats._sobol``, without the ``scipy.stats`` package.
 """
 
 from __future__ import annotations
@@ -48,21 +50,21 @@ __all__ = [
 
 
 class _Handoff(dict):
-    """Meta-path finder and loader that hands scipy.linalg the extensions loaded here.
+    """Meta-path finder and loader that hands a scipy subpackage the extensions loaded here.
 
     The import system binds a submodule to its package only when it loads
-    it, and it loads only what is not in ``sys.modules``. So when
-    ``scipy.linalg`` is about to be imported, the extensions (keyed here by
-    full name) leave ``sys.modules``, and its own import of them gets the
-    same module objects back from this loader, once.
+    it, and it loads only what is not in ``sys.modules``. So when a package
+    such as ``scipy.linalg`` is about to be imported, the extensions loaded
+    here under it (keyed by full name) leave ``sys.modules``, and its own
+    import of them gets the same module objects back from this loader, once.
     """
 
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy.linalg":
-            for full in self:
-                sys.modules.pop(full, None)
-        elif name in self:
+        if name in self:
             return ModuleSpec(name, self, origin=self[name].__file__)
+        for full in self:
+            if full.rpartition(".")[0] == name:
+                sys.modules.pop(full, None)
         return None
 
     def create_module(self, spec):
@@ -76,12 +78,12 @@ _HANDOFF = _Handoff()
 sys.meta_path.insert(0, _HANDOFF)
 
 
-def _extension(name: str):
-    """scipy.linalg.<name>, loaded from its compiled file without scipy.linalg's __init__."""
-    full = "scipy.linalg." + name
+def _extension(package: str, name: str):
+    """scipy.<package>.<name>, loaded from its compiled file without running scipy.<package>."""
+    full = "scipy.%s.%s" % (package, name)
     if full in sys.modules:
         return sys.modules[full]
-    where = Path(scipy.__path__[0], "linalg")
+    where = Path(scipy.__path__[0], package)
     for suffix in EXTENSION_SUFFIXES:
         path = where / (name + suffix)
         if path.is_file():
@@ -97,8 +99,8 @@ def _extension(name: str):
     return module
 
 
-_flapack = _extension("_flapack")
-_fblas = _extension("_fblas")
+_flapack = _extension("linalg", "_flapack")
+_fblas = _extension("linalg", "_fblas")
 _potrf, _trtri, _potrs = _flapack.dpotrf, _flapack.dtrtri, _flapack.dpotrs
 _gemm, _syrk = _fblas.dgemm, _fblas.dsyrk
 
@@ -174,8 +176,14 @@ def chol_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def tri_inverse_lower(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix."""
-    Li, info = _trtri(_as_f64(L), lower=1, unitdiag=0, overwrite_c=0)
+    """Inverse of a lower-triangular matrix, written over L.
+
+    A Fortran-contiguous float64 L, as :func:`chol_lower` returns, is
+    inverted in place and holds the inverse afterwards, so pass a factor you
+    do not read again (or a copy). Any other L is copied first and left as
+    it was.
+    """
+    Li, info = _trtri(_as_f64(L), lower=1, unitdiag=0, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError("trtri failed with info %d" % info)
     return Li

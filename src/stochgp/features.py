@@ -13,9 +13,12 @@ intermediates the backward pass needs, stamped with the parameter version
 so a stale cache is rejected instead of silently producing wrong gradients.
 
 Importing this module loads numpy only. ``RFFMap`` draws its frequencies
-with ``scipy.stats.qmc`` and ``scipy.special.ndtri``, which it imports when
-the first map is built: ``scipy.stats`` takes longer to import than a short
-linear or MLP run takes to train, so only a random-feature run pays for it.
+with scipy's compiled Sobol engine and ``scipy.special.ndtri``, which it
+loads when the first map is built, so only a random-feature run pays for
+them. The engine, ``scipy.stats._sobol``, comes from its file through the
+loader of :mod:`stochgp._linalg`, without the ``scipy.stats`` package: that
+package takes longer to import than a short linear or MLP run takes to
+train, and longer than a random-feature run's own steps.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import abc
 import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -253,6 +257,69 @@ class MLPMap(FeatureMap):
         return grad, g_inputs
 
 
+def _sobol_error(what: str) -> RuntimeError:
+    import scipy
+
+    return RuntimeError(
+        "scipy %s: %s; RFFMap draws its frequencies with the private Sobol engine"
+        " scipy.stats._sobol as scipy 1.17 lays it out" % (scipy.__version__, what)
+    )
+
+
+def _sobol_points(q: int, m: int, seed: int) -> np.ndarray:
+    """The first m points of a scrambled Sobol sequence on [0, 1)^q, seeded.
+
+    Bit for bit ``qmc.Sobol(q, scramble=True, rng=np.random.default_rng(seed))
+    .random_base2(k)[:m]`` for any k with 2^k >= m, drawn as that engine
+    draws them but through its compiled module alone. The engine loads its
+    direction numbers on first use through ``importlib.resources``, which
+    imports ``scipy.stats``; its cache is seeded here from the same file
+    instead. Its functions do not raise on a bad argument (they print
+    "Exception ignored" and leave the output unfilled), so the direction
+    numbers are checked before they are used.
+    """
+    import scipy
+
+    from stochgp._linalg import _extension
+
+    try:
+        sobol = _extension("stats", "_sobol")
+        caches = {"poly": sobol._poly_dict, "vinit": sobol._vinit_dict}
+        initialize_v, cscramble, draw = sobol._initialize_v, sobol._cscramble, sobol._draw
+        max_dim = sobol._MAXDIM
+    except (ImportError, AttributeError) as exc:
+        raise _sobol_error(str(exc)) from exc
+    if q > max_dim:
+        raise ValueError("Sobol points have at most %d dimensions, got %d" % (max_dim, q))
+    if any(np.uint32 not in cache for cache in caches.values()):
+        path = Path(scipy.__path__[0], "stats", "_sobol_direction_numbers.npz")
+        with np.load(path) as numbers:
+            for key, cache in caches.items():
+                cache[np.uint32] = np.ascontiguousarray(numbers[key], dtype=np.uint32)
+
+    bits = 30  # scipy's default: 30-bit points held in uint32
+    sv = np.zeros((q, bits), dtype=np.uint32)
+    initialize_v(sv, dim=q, bits=bits)
+    if not np.all(sv[:, 0] == 1 << (bits - 1)):
+        raise _sobol_error("_initialize_v left wrong direction numbers")
+    # the engine draws from a child of the generator it is given
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    # LMS+shift scramble: a random digital shift, then random lower-triangular
+    # bit matrices applied to the direction numbers
+    shift = np.dot(
+        rng.integers(2, size=(q, bits), dtype=np.uint32),
+        2 ** np.arange(bits, dtype=np.uint32),
+    )
+    ltm = np.tril(rng.integers(2, size=(q, bits, bits), dtype=np.uint32))
+    cscramble(dim=q, bits=bits, ltm=ltm, sv=sv)
+    # point 0 is the shift itself; the others walk the Gray code from it
+    scale = 2.0**-bits
+    points = np.empty((m, q))
+    points[0] = shift * scale
+    draw(n=m - 1, num_gen=0, dim=q, scale=scale, sv=sv, quasi=shift.copy(), sample=points[1:])
+    return points
+
+
 class RFFMap(FeatureMap):
     """Paired random Fourier features for the Gaussian kernel.
 
@@ -279,8 +346,10 @@ class RFFMap(FeatureMap):
     point uniform on its own, so over the scramble every w_j is N(0, I) up
     to the 1e-10 tail clip and the kernel estimate stays unbiased; the
     points' low discrepancy makes a single draw far more accurate than iid
-    frequencies of the same width. The draw is fixed by ``seed``. The first
-    map built in a process imports ``scipy.stats`` and ``scipy.special``.
+    frequencies of the same width. The draw is fixed by ``seed`` and equals
+    ``qmc.Sobol(q, scramble=True, rng=np.random.default_rng(seed))``'s
+    (see ``_sobol_points``). The first map built in a process loads
+    ``scipy.special`` and ``scipy.stats._sobol``, not ``scipy.stats``.
 
     Frequencies are divided by the length scale u1 at forward time, so u1
     stays differentiable while the draw itself is frozen. The learnable flat
@@ -311,12 +380,8 @@ class RFFMap(FeatureMap):
         self.init_u2 = float(init_u2)
         # imported here, not at the top: see the module docstring
         from scipy.special import ndtri
-        from scipy.stats import qmc
 
-        m = self.feature_count // 2
-        sobol = qmc.Sobol(self.input_dim, scramble=True, rng=np.random.default_rng(seed))
-        # a power-of-two block keeps the Sobol balance; (m - 1).bit_length() = ceil(log2 m)
-        points = sobol.random_base2((m - 1).bit_length())[:m]
+        points = _sobol_points(self.input_dim, self.feature_count // 2, self.seed)
         self.frequencies = ndtri(0.5 + (1.0 - 1e-10) * (points - 0.5))
 
     @property

@@ -6,15 +6,19 @@ the ridge minimizer and the n x n kernel-space NLL it must match
 (``ridge_closed_form``, ``exact_nll_oracle``), and the penalized objective of
 ``minimax_step`` per sample with its batch gradients (which run the step's
 own gradient body). ``self_checks`` holds the identities ``stochgp check``
-prints. They form n x n or per-sample arrays: test-scale data only.
+prints, among them that ``RFFMap`` draws what ``scipy.stats.qmc`` draws,
+through the private Sobol engine it binds. They form n x n or per-sample
+arrays: test-scale data only.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from stochgp._linalg import chol_lower, chol_solve, diagonal, gram, logdet_from_chol, symmetrize
-from stochgp.features import FeatureMap, FeatureMapParams, MLPMap, MLPSpec
+from stochgp.features import FeatureMap, FeatureMapParams, MLPMap, MLPSpec, RFFMap
 from stochgp.objective import HyperParams, ThetaGrad, _check_noise, _linearized_core
 from stochgp.optim import (
     AugmentedState,
@@ -296,3 +300,22 @@ def self_checks():
         + abs(s_next.theta.noise_variance - b_next.noise_variance)
     )
     yield "full-batch optimizer coincidence", gap < 1e-12, "parameter gap %.2e" % gap
+
+    # maps first: in a fresh process they draw before scipy.stats has loaded
+    draws = ((1, 1, 0), (3, 5, 1), (16, 500, 2), (20, 256, 3))
+    try:
+        drawn = [RFFMap(q, 2 * m, seed).frequencies for q, m, seed in draws]
+    except RuntimeError as exc:
+        yield "random Fourier frequencies equal the scipy.stats.qmc draw", False, str(exc)
+        return
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
+    same = 0
+    for (q, m, seed), frequencies in zip(draws, drawn):
+        sobol = qmc.Sobol(q, scramble=True, rng=np.random.default_rng(seed))
+        points = sobol.random_base2(math.ceil(math.log2(m)))[:m]
+        same += np.array_equal(frequencies, ndtri(0.5 + (1.0 - 1e-10) * (points - 0.5)))
+    yield "random Fourier frequencies equal the scipy.stats.qmc draw", same == len(draws), (
+        "%d of %d draws bit for bit" % (same, len(draws))
+    )

@@ -547,4 +547,5 @@ class TestCheckCommand:
             "penalized objective gradient spot check",
             "projection feasibility and idempotence (200 states)",
             "full-batch optimizer coincidence",
+            "random Fourier frequencies equal the scipy.stats.qmc draw",
         ]

@@ -1,5 +1,11 @@
 """Feature map forward/backward checks against straight-line and FD oracles."""
 
+import json
+import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import hypothesis.extra.numpy as hnp
@@ -8,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
+import stochgp
 from fdcheck import assert_grad_close, fd_grad
+from stochgp._linalg import _extension
 from stochgp.features import (
     ComposedMap,
     FeatureBatch,
@@ -197,6 +205,16 @@ class TestMLP:
             fmap.forward(fmap.init_params(0), np.zeros((2, 5)))
 
 
+def qmc_frequencies(q, m, seed):
+    """RFFMap's frequencies as the public scipy.stats.qmc engine draws them."""
+    import scipy.special
+    from scipy.stats import qmc
+
+    sobol = qmc.Sobol(q, scramble=True, rng=np.random.default_rng(seed))
+    points = sobol.random_base2(math.ceil(math.log2(m)))[:m]
+    return scipy.special.ndtri(0.5 + (1.0 - 1e-10) * (points - 0.5))
+
+
 class TestRFF:
     @pytest.mark.parametrize("log_u", [800.0, -800.0, np.nan])
     @pytest.mark.parametrize("k, name", [(0, "log u1"), (1, "log u2")])
@@ -279,6 +297,50 @@ class TestRFF:
     def test_odd_feature_count_rejected(self):
         with pytest.raises(ValueError, match="cos/sin pairs"):
             rff_init(q=2, D=7, u1=1.0, u2=1.0, seed=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        q=st.integers(1, 20),
+        half=st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128, 256]) | st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_frequencies_equal_the_qmc_draw_bit_for_bit(self, q, half, seed):
+        assert np.array_equal(RFFMap(q, 2 * half, seed).frequencies, qmc_frequencies(q, half, seed))
+
+    def test_draw_before_scipy_stats_loads_equals_the_qmc_draw(self):
+        # a fresh interpreter, so the Sobol engine's direction numbers come
+        # from the cache RFFMap seeds, not from scipy.stats
+        cases = [(1, 1, 0), (3, 8, 4), (16, 500, 1), (20, 300, 2**32 - 1)]
+        code = (
+            "import json, sys\n"
+            "from stochgp.features import RFFMap\n"
+            "drawn = [RFFMap(q, 2 * m, s).frequencies.tolist() for q, m, s in %r]\n"
+            "print(json.dumps({'stats': 'scipy.stats' in sys.modules, 'drawn': drawn}))"
+        ) % (cases,)
+        src = os.path.dirname(os.path.dirname(stochgp.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        report = json.loads(out)
+        assert report["stats"] is False
+        for (q, m, seed), drawn in zip(cases, report["drawn"]):
+            assert np.array_equal(np.reshape(drawn, (m, q)), qmc_frequencies(q, m, seed))
+
+    @pytest.mark.parametrize("broken", ["unfilled", "missing"])
+    def test_engine_that_would_draw_zeros_fails_loudly(self, monkeypatch, broken):
+        # _sobol's functions print "Exception ignored" on a bad argument and
+        # leave their output unfilled instead of raising
+        import scipy
+
+        sobol = _extension("stats", "_sobol")
+        if broken == "unfilled":
+            monkeypatch.setattr(sobol, "_initialize_v", lambda v, dim, bits: None)
+        else:
+            monkeypatch.delattr(sobol, "_draw")
+        with pytest.raises(RuntimeError, match=re.escape("scipy %s:" % scipy.__version__)):
+            RFFMap(3, 8, seed=0)
 
     @settings(max_examples=60, deadline=None)
     @given(

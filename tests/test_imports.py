@@ -1,10 +1,11 @@
-"""What importing the package loads: scipy.stats only with a random-feature map.
+"""What importing the package loads: scipy.special only with a random-feature map.
 
 The LAPACK/BLAS handles come from scipy's compiled extensions without the
-``scipy.linalg`` package, which a random-feature map loads through
-``scipy.stats``; either way there is one copy of each extension. A run never
-loads the reference computations of ``stochgp.oracles``, and no training
-module holds one of them.
+``scipy.linalg`` package, and a random-feature map's Sobol engine from
+``scipy.stats._sobol`` without the ``scipy.stats`` package; whichever of
+scipy's packages loads first, there is one copy of each extension. A run
+never loads ``scipy.stats``, nor the reference computations of
+``stochgp.oracles``, and no training module holds one of them.
 
 The benchmark under ``benchmarks/`` reaches into the program at named
 seams: its tracer imports each module it wraps and replaces functions at
@@ -88,6 +89,36 @@ print(json.dumps({
 }))
 """
 
+# the Sobol points scipy.stats.qmc draws, as floats that survive json exactly
+SOBOL_DRAW = """
+def sobol_draw():
+    import numpy as np
+    from scipy.stats import qmc
+    return [qmc.Sobol(q, rng=np.random.default_rng(q)).random_base2(5).tolist() for q in (1, 7, 20)]
+"""
+
+# scipy.stats after a whole random-feature run: the Sobol engine stochgp
+# loaded becomes its attribute, and qmc draws as it does without stochgp
+PROBE_STATS_AFTER = SOBOL_DRAW + """
+import json, sys
+from stochgp.harness import ExperimentConfig, SynthSpec, run_experiment
+
+record = run_experiment(ExperimentConfig(
+    synth=SynthSpec(n=40, p=3, d=4, sigma2=0.5, map_kind="mlp", mlp_hidden=4),
+    feature_map="mlp+rff", mlp_hidden=4, mlp_out=4, rff_dim=16, optimizer="minimax",
+    batch_size=8, epochs=1, learning_rate=1e-3,
+))
+trained = "scipy.stats" in sys.modules
+ours = sys.modules["scipy.stats._sobol"]
+import scipy.stats
+print(json.dumps({
+    "diverged": record.diverged,
+    "stats_after_run": trained,
+    "bound": scipy.stats._sobol is ours and scipy.stats._qmc._draw is ours._draw,
+    "draw": sobol_draw(),
+}))
+"""
+
 PROBE_ORACLES = """
 import json, sys
 import stochgp, stochgp.harness, stochgp.cli
@@ -119,13 +150,19 @@ def _probe(code: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def test_scipy_stats_loads_only_with_a_random_feature_map():
+def test_scipy_special_loads_only_with_a_random_feature_map_and_scipy_stats_never():
     report = _probe(PROBE)
     none = {"scipy.stats": False, "scipy.special": False, "scipy.linalg": False}
     assert report["imported"] == none
     assert report["trained"] == none
-    assert report["rff"] == {"scipy.stats": True, "scipy.special": True, "scipy.linalg": True}
+    assert report["rff"] == {"scipy.stats": False, "scipy.special": True, "scipy.linalg": False}
     assert report["same_handles"]
+
+
+def test_scipy_stats_imported_after_a_random_feature_run_binds_the_same_sobol_engine():
+    report = _probe(PROBE_STATS_AFTER)
+    assert report.pop("draw") == _probe(SOBOL_DRAW + "import json\nprint(json.dumps(sobol_draw()))")
+    assert report == {"diverged": False, "stats_after_run": False, "bound": True}
 
 
 def test_scipy_linalg_imported_first_shares_its_extensions():

@@ -53,7 +53,16 @@ class TestLapackBuild:
         assert np.array_equal(L, scipy.linalg.cholesky(A, lower=True))
         for b in (B, B[:, 0]):
             assert np.array_equal(chol_solve(L, b), scipy.linalg.cho_solve((L, True), b))
-        assert np.array_equal(tri_inverse_lower(L), scipy.linalg.lapack.dtrtri(L, lower=1)[0])
+        expected = scipy.linalg.lapack.dtrtri(L, lower=1)[0]
+        if d > 1:
+            # a factor that is not Fortran-contiguous is copied and left as it was
+            Lc = np.ascontiguousarray(L)
+            assert np.array_equal(tri_inverse_lower(Lc), expected)
+            assert np.array_equal(Lc, L)
+        # chol_lower's factor is Fortran-ordered, so it is inverted in place
+        Li = tri_inverse_lower(L)
+        assert np.array_equal(Li, expected)
+        assert np.shares_memory(Li, L)
 
 
 class TestFrobenius:
