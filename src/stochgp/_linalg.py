@@ -152,14 +152,15 @@ def logdet_from_chol(L: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diagonal(L))))
 
 
-def spd_inverse(A: np.ndarray) -> np.ndarray:
+def spd_inverse(A: np.ndarray, context: str = "") -> np.ndarray:
     """Dense inverse of an SPD matrix: Li^T @ Li for Li the inverse of its Cholesky factor.
 
     The result is exactly symmetric: it is formed by one gemm, whose (i, j)
     and (j, i) entries sum identical products in the same order. gemm reads
-    the full array, which chol_lower cleans above the diagonal.
+    the full array, which chol_lower cleans above the diagonal. ``context``
+    names A in the error raised when it is not positive definite.
     """
-    Li = tri_inverse_lower(chol_lower(A))
+    Li = tri_inverse_lower(chol_lower(A, context))
     return _gemm(1.0, Li, Li, trans_a=1)
 
 

@@ -9,8 +9,9 @@ documented layout; ``backward`` returns the exact gradient of
 No general autodiff: the chain rules here are written by hand and checked
 against finite differences in the test suite. Forward passes are pure
 functions of (params, inputs); the returned FeatureBatch carries whatever
-intermediates the backward pass needs, stamped with the parameter version
-so a stale cache is rejected instead of silently producing wrong gradients.
+intermediates the backward pass needs and the parameter object it came
+from, so a backward given any other object, even an equal-valued copy,
+rejects the stale cache instead of silently producing wrong gradients.
 
 Importing this module loads numpy only. ``RFFMap`` draws its frequencies
 with scipy's compiled Sobol engine and ``scipy.special.ndtri``, which it
@@ -61,13 +62,13 @@ class FeatureMapParams:
     """Flat learnable parameter vector plus its segment layout.
 
     ``layout`` maps segments of ``flat`` to named tensors as tuples of
-    (name, offset, shape). The version counter increments on every
-    ``with_flat`` so feature batches can detect stale caches.
+    (name, offset, shape). A feature batch is tied to the object it was
+    computed from, by identity: ``with_flat`` makes a new object, and so
+    does any other constructor call, whatever the values.
     """
 
     flat: np.ndarray
     layout: tuple[tuple[str, int, tuple[int, ...]], ...]
-    version: int = 0
 
     def __post_init__(self):
         flat = np.ascontiguousarray(np.asarray(self.flat, dtype=np.float64))
@@ -94,24 +95,22 @@ class FeatureMapParams:
         return self.flat[start:stop].reshape(shape)
 
     def with_flat(self, flat: np.ndarray) -> "FeatureMapParams":
-        return FeatureMapParams(flat, self.layout, self.version + 1)
+        return FeatureMapParams(flat, self.layout)
 
 
 @dataclass
 class FeatureBatch:
-    """Features for one batch plus cached intermediates for backward."""
+    """Features for one batch, cached intermediates, and the params object they came from."""
 
     Z: np.ndarray
     cache: dict
-    params_version: int
+    params: FeatureMapParams
 
 
 def _check_cache(params: FeatureMapParams, batch: FeatureBatch):
-    if batch.params_version != params.version:
-        raise ValueError(
-            "stale feature cache: batch built at parameter version %d, got %d"
-            % (batch.params_version, params.version)
-        )
+    # identity, not ==: the generated __eq__ compares arrays
+    if batch.params is not params:
+        raise ValueError("stale feature cache: batch computed from another params object")
 
 
 class FeatureMap(abc.ABC):
@@ -121,8 +120,8 @@ class FeatureMap(abc.ABC):
     output_dim: int
 
     @property
-    @abc.abstractmethod
-    def n_params(self) -> int: ...
+    def n_params(self) -> int:
+        return _segments(self.layout())[1]
 
     @abc.abstractmethod
     def layout(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]: ...
@@ -144,8 +143,8 @@ class FeatureMap(abc.ABC):
     ) -> np.ndarray:
         return self.backward_with_inputs(params, batch, upstream)[0]
 
-    def params_from_flat(self, flat: np.ndarray, version: int = 0) -> FeatureMapParams:
-        return FeatureMapParams(flat, self.layout(), version)
+    def params_from_flat(self, flat: np.ndarray) -> FeatureMapParams:
+        return FeatureMapParams(flat, self.layout())
 
     def _check_input(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -163,10 +162,6 @@ class LinearMap(FeatureMap):
         self.input_dim = int(dim)
         self.output_dim = int(dim)
 
-    @property
-    def n_params(self) -> int:
-        return 0
-
     def layout(self):
         return ()
 
@@ -175,7 +170,7 @@ class LinearMap(FeatureMap):
 
     def forward(self, params, X):
         X = self._check_input(X)
-        return FeatureBatch(X, {}, params.version)
+        return FeatureBatch(X, {}, params)
 
     def backward_with_inputs(self, params, batch, upstream):
         _check_cache(params, batch)
@@ -205,15 +200,9 @@ class MLPMap(FeatureMap):
     """
 
     def __init__(self, spec: MLPSpec):
-        self.spec = spec
         self.input_dim = spec.input_dim
         self.hidden_dim = spec.layer_dims[0]
         self.output_dim = spec.layer_dims[1]
-
-    @property
-    def n_params(self) -> int:
-        p, h, d = self.input_dim, self.hidden_dim, self.output_dim
-        return h * p + h + d * h + d
 
     def layout(self):
         p, h, d = self.input_dim, self.hidden_dim, self.output_dim
@@ -240,7 +229,7 @@ class MLPMap(FeatureMap):
         hidden = np.maximum(pre1, 0.0)
         Z = hidden @ w2.T + b2
         cache = {"X": X, "mask": pre1 > 0.0, "hidden": hidden}
-        return FeatureBatch(Z, cache, params.version)
+        return FeatureBatch(Z, cache, params)
 
     def backward_with_inputs(self, params, batch, upstream):
         _check_cache(params, batch)
@@ -374,19 +363,14 @@ class RFFMap(FeatureMap):
             raise ValueError("length scale and magnitude must be positive")
         self.input_dim = int(input_dim)
         self.output_dim = int(feature_count)
-        self.feature_count = int(feature_count)
         self.seed = int(seed)
         self.init_u1 = float(init_u1)
         self.init_u2 = float(init_u2)
         # imported here, not at the top: see the module docstring
         from scipy.special import ndtri
 
-        points = _sobol_points(self.input_dim, self.feature_count // 2, self.seed)
+        points = _sobol_points(self.input_dim, self.output_dim // 2, self.seed)
         self.frequencies = ndtri(0.5 + (1.0 - 1e-10) * (points - 0.5))
-
-    @property
-    def n_params(self) -> int:
-        return 2
 
     def layout(self):
         return (("log_u1", 0, (1,)), ("log_u2", 1, (1,)))
@@ -409,7 +393,7 @@ class RFFMap(FeatureMap):
             )
         proj = X @ self.frequencies.T  # unit-scale projections, one per pair
         args = proj / u1
-        amp = math.sqrt(2.0 * u2 / self.feature_count)
+        amp = math.sqrt(2.0 * u2 / self.output_dim)
         m = proj.shape[1]
         Z = np.empty((proj.shape[0], 2 * m))
         cos_half, sin_half = Z[:, :m], Z[:, m:]
@@ -418,7 +402,7 @@ class RFFMap(FeatureMap):
         np.sin(args, out=sin_half)
         sin_half *= amp
         cache = {"proj": proj, "u1": u1}
-        return FeatureBatch(Z, cache, params.version)
+        return FeatureBatch(Z, cache, params)
 
     def backward_with_inputs(self, params, batch, upstream):
         _check_cache(params, batch)
@@ -457,10 +441,6 @@ class ComposedMap(FeatureMap):
         self.input_dim = inner.input_dim
         self.output_dim = outer.output_dim
 
-    @property
-    def n_params(self) -> int:
-        return self.inner.n_params + self.outer.n_params
-
     def layout(self):
         inner = tuple(
             ("inner." + name, off, shape) for name, off, shape in self.inner.layout()
@@ -476,29 +456,18 @@ class ComposedMap(FeatureMap):
         outer = self.outer.init_params(seed + 1)
         return FeatureMapParams(np.concatenate([inner.flat, outer.flat]), self.layout())
 
-    def _split(self, params: FeatureMapParams):
-        k = self.inner.n_params
-        inner = self.inner.params_from_flat(params.flat[:k], params.version)
-        outer = self.outer.params_from_flat(params.flat[k:], params.version)
-        return inner, outer
-
     def forward(self, params, X):
-        X = self._check_input(X)
-        inner_p, outer_p = self._split(params)
-        inner_batch = self.inner.forward(inner_p, X)
-        outer_batch = self.outer.forward(outer_p, inner_batch.Z)
-        cache = {"inner": inner_batch, "outer": outer_batch}
-        return FeatureBatch(outer_batch.Z, cache, params.version)
+        k = self.inner.n_params
+        inner = self.inner.forward(self.inner.params_from_flat(params.flat[:k]), X)
+        outer = self.outer.forward(self.outer.params_from_flat(params.flat[k:]), inner.Z)
+        return FeatureBatch(outer.Z, {"inner": inner, "outer": outer}, params)
 
     def backward_with_inputs(self, params, batch, upstream):
         _check_cache(params, batch)
-        inner_p, outer_p = self._split(params)
-        g_outer, up_inner = self.outer.backward_with_inputs(
-            outer_p, batch.cache["outer"], upstream
-        )
-        g_inner, g_inputs = self.inner.backward_with_inputs(
-            inner_p, batch.cache["inner"], up_inner
-        )
+        # each sub-batch holds the sub-parameters it was computed from
+        inner, outer = batch.cache["inner"], batch.cache["outer"]
+        g_outer, up_inner = self.outer.backward_with_inputs(outer.params, outer, upstream)
+        g_inner, g_inputs = self.inner.backward_with_inputs(inner.params, inner, up_inner)
         return np.concatenate([g_inner, g_outer]), g_inputs
 
 

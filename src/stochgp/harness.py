@@ -21,7 +21,8 @@ which of the three happened (``diverge_reason``) and at which epoch and
 step count. Steps run under np.errstate(over="raise", invalid="raise",
 divide="raise"), so a floating-point overflow, invalid operation or division
 by zero in a step is such an error and names itself; underflow stays
-silent, and the evaluation, which reports any failure as +inf, runs outside.
+silent. The evaluation runs outside; when it raises, the reason is
+"non-finite NLL" followed by the exception's class and message.
 """
 
 from __future__ import annotations
@@ -229,6 +230,11 @@ class ExperimentConfig:
             raise ValueError(
                 "train_fraction must lie strictly between 0 and 1, got %r" % self.train_fraction
             )
+        if self.name and any(sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+            raise ValueError(
+                "name %r must not contain a path separator: it names files in the"
+                " results directory" % self.name
+            )
         # the projection settings; sigma_min also floors scgd and bsgd
         MinimaxConfig(
             0.0, self.dual_rate, self.penalty, self.sigma_min, self.coord_bound, self.eig_bound
@@ -359,30 +365,28 @@ class _Evaluator:
         The NLL is the ridge-form loss minimized over the weights, which
         equals the kernel-space value at O(n d^2 + d^3); the gradient norm is
         that of the linearized loss at theta's own weights with M = F^{-1},
-        F = Z^T Z + s2 I. Both read +inf when any step fails.
+        F = Z^T Z + s2 I. A failure raises (ValueError or LinAlgError), and
+        ``_train`` records its class and message.
         """
         X, y = self.X, self.y
         n, d = X.shape[0], self.fmap.output_dim
         s2 = theta.noise_variance
-        try:
-            batch = self.fmap.forward(theta.feature_params, X)
-            Z = batch.Z
-            L = chol_lower(gram(Z, s2), "evaluation information matrix")
-            w = chol_solve(L, Z.T @ y)
-            r = Z @ w - y
-            raw = (
-                float(r @ r) / s2
-                + float(w @ w)
-                + logdet_from_chol(L)
-                + (n - d) * math.log(s2)
-            )
-            Li = tri_inverse_lower(L)
-            M = Li.T @ Li
-            g = _linearized_core(
-                self.fmap, theta, batch, y, Z @ (M + M.T), float(np.trace(M)), n
-            )
-        except (ValueError, np.linalg.LinAlgError):
-            return math.inf, math.inf
+        batch = self.fmap.forward(theta.feature_params, X)
+        Z = batch.Z
+        L = chol_lower(gram(Z, s2), "evaluation information matrix")
+        w = chol_solve(L, Z.T @ y)
+        r = Z @ w - y
+        raw = (
+            float(r @ r) / s2
+            + float(w @ w)
+            + logdet_from_chol(L)
+            + (n - d) * math.log(s2)
+        )
+        Li = tri_inverse_lower(L)
+        M = Li.T @ Li
+        g = _linearized_core(
+            self.fmap, theta, batch, y, Z @ (M + M.T), float(np.trace(M)), n
+        )
         return (raw + n * math.log(2 * math.pi)) / (2 * n), g.norm()
 
 
@@ -500,12 +504,16 @@ def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
 
         nll = math.inf
         if reason is None:
-            nll, grad_norm = evaluator.nll(theta)
-            if not math.isfinite(nll):
-                reason = "non-finite NLL"
-            elif grad_norm > GRAD_DIVERGENCE_NORM:
-                reason = "gradient norm %g above 1e12" % grad_norm
-                nll = math.inf
+            try:
+                nll, grad_norm = evaluator.nll(theta)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                reason = "non-finite NLL: %s: %s" % (type(exc).__name__, exc)
+            else:
+                if not math.isfinite(nll):
+                    reason = "non-finite NLL"
+                elif grad_norm > GRAD_DIVERGENCE_NORM:
+                    reason = "gradient norm %g above 1e12" % grad_norm
+                    nll = math.inf
         record.epochs.append({"epoch": epoch, "nll": nll, "wall_ms": wall_ms})
         if reason is not None:
             record.diverged = True

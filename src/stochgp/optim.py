@@ -207,7 +207,7 @@ def _primal_grads(
 
     inner = float(np.sum(B * ((s / n) * A - info_sum)))
     g_A = (
-        spd_inverse(A)
+        spd_inverse(A, "surrogate matrix")
         + (penalty / norm) * B
         - (penalty * (n / s) * inner / norm**3) * A
     )
@@ -435,7 +435,7 @@ def bsgd_step(
         raise ValueError("batch must be non-empty")
 
     fb = fmap.forward(theta.feature_params, X_batch)
-    M = spd_inverse(gram(fb.Z, s * theta.noise_variance / n))
+    M = spd_inverse(gram(fb.Z, s * theta.noise_variance / n), "batch information matrix")
     g = _linearized_core(
         fmap, theta, fb, _rows(y, batch), fb.Z @ (M + M.T), float(np.trace(M)), n
     )

@@ -254,6 +254,11 @@ class TestRunCommand:
             (["--synth", SYNTH, "--grid", " , "], "empty learning-rate grid: ' , '"),
             (["--data", "{tmp}"], "Is a directory"),
             (["--synth", SYNTH, "--config", "{tmp}"], "Is a directory"),
+            (["--synth", SYNTH, "--name", "sub/dir"], "must not contain a path separator"),
+            (
+                ["--synth", SYNTH, "--grid", "1e-3,1e-2", "--name", "../escape"],
+                "must not contain a path separator",
+            ),
         ],
     )
     def test_invalid_config_is_a_usage_error(self, tmp_path, capsys, argv, message):

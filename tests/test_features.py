@@ -38,10 +38,6 @@ class ScaleMap(FeatureMap):
         self.input_dim = dim
         self.output_dim = dim
 
-    @property
-    def n_params(self):
-        return 1
-
     def layout(self):
         return (("a", 0, (1,)),)
 
@@ -50,7 +46,7 @@ class ScaleMap(FeatureMap):
 
     def forward(self, params, X):
         X = self._check_input(X)
-        return FeatureBatch(params.flat[0] * X, {"X": X}, params.version)
+        return FeatureBatch(params.flat[0] * X, {"X": X}, params)
 
     def backward_with_inputs(self, params, batch, upstream):
         U = np.asarray(upstream, dtype=np.float64)
@@ -78,9 +74,18 @@ class TestParamsLayout:
         assert np.array_equal(rebuilt, params.flat)
 
     def test_layout_lengths_sum(self):
-        fmap = MLPMap(MLPSpec(3, (4, 5)))
-        total = sum(int(np.prod(shape)) for _, _, shape in fmap.layout())
-        assert total == fmap.n_params
+        mlp = MLPMap(MLPSpec(3, (4, 5)))
+        rff = rff_init(q=5, D=4, u1=1.0, u2=1.0, seed=0)
+        # n_params comes from the layout, for a custom map too
+        for fmap, expected in (
+            (mlp, 4 * 3 + 4 + 5 * 4 + 5),
+            (ScaleMap(2), 1),
+            (LinearMap(3), 0),
+            (rff, 2),
+            (compose(rff, mlp), 4 * 3 + 4 + 5 * 4 + 5 + 2),
+        ):
+            total = sum(int(np.prod(shape)) for _, _, shape in fmap.layout())
+            assert total == fmap.n_params == expected
 
     def test_bad_layout_rejected(self):
         with pytest.raises(ValueError, match="layout covers"):
@@ -109,11 +114,6 @@ class TestParamsLayout:
         with pytest.raises(KeyError) as exc:
             params.get(unknown)
         assert repr(unknown) in exc.value.args[0]
-
-    def test_version_bumps_on_with_flat(self):
-        fmap = RFFMap(2, 8, seed=0)
-        params = fmap.init_params(0)
-        assert params.with_flat(params.flat + 1.0).version == params.version + 1
 
 
 class TestLinearMap:
@@ -443,6 +443,59 @@ class TestCompose:
         np.testing.assert_array_equal(
             params.flat[inner.n_params :], outer.init_params(2).flat
         )
+
+
+def _stale_cache_map(kind):
+    """A map on R^3 of each kind with parameters."""
+    mlp = MLPMap(MLPSpec(3, (4, 2)))
+    if kind == "mlp":
+        return mlp
+    if kind == "rff":
+        return rff_init(q=3, D=6, u1=1.0, u2=1.0, seed=4)
+    return compose(rff_init(q=2, D=6, u1=1.0, u2=1.0, seed=4), mlp)
+
+
+class TestStaleCache:
+    """A backward accepts only the parameter object its batch was computed from."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "rff", "mlp+rff"])
+    @pytest.mark.parametrize("other", ["another init", "equal-valued copy"])
+    def test_batch_from_another_params_object_rejected(self, kind, other):
+        fmap = _stale_cache_map(kind)
+        params = fmap.init_params(0)
+        if other == "another init":
+            # both objects are fresh from init_params; for rff they are equal
+            foreign = fmap.init_params(1)
+        else:
+            foreign = fmap.params_from_flat(params.flat.copy())
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(5, 3))
+        U = rng.normal(size=(5, fmap.output_dim))
+        batch = fmap.forward(params, X)
+        with pytest.raises(ValueError, match="stale feature cache"):
+            fmap.backward(foreign, batch, U)
+        # each object's own batch is accepted
+        fmap.backward(params, batch, U)
+        fmap.backward(foreign, fmap.forward(foreign, X), U)
+
+    def test_composed_backward_builds_no_params(self, monkeypatch):
+        fmap = _stale_cache_map("mlp+rff")
+        params = fmap.init_params(0)
+        X = np.random.default_rng(16).normal(size=(4, 3))
+        batch = fmap.forward(params, X)
+        built = []
+        post_init = FeatureMapParams.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(FeatureMapParams, "__post_init__", counting)
+        fmap.backward_with_inputs(params, batch, np.ones((4, fmap.output_dim)))
+        assert built == []
+        # the sub-batches hold the sub-parameters the forward computed them from
+        assert np.array_equal(batch.cache["inner"].params.flat, params.flat[: fmap.inner.n_params])
+        assert np.array_equal(batch.cache["outer"].params.flat, params.flat[fmap.inner.n_params :])
 
 
 class TestBackwardProperty:

@@ -168,6 +168,8 @@ class TestExperimentConfig:
             ({"train_fraction": 0.0}, "train_fraction must lie strictly between 0 and 1"),
             ({"train_fraction": 1.0}, "train_fraction must lie strictly between 0 and 1"),
             ({"train_fraction": math.nan}, "train_fraction must lie strictly between 0 and 1"),
+            ({"name": "sub/dir"}, "name 'sub/dir' must not contain a path separator"),
+            ({"name": "../escape"}, "must not contain a path separator"),
         ],
     )
     def test_rejects_bad_values(self, fields, message):
@@ -385,6 +387,42 @@ class TestRunExperiment:
             1,
             14,
         )
+
+    @pytest.mark.parametrize(
+        "optimizer, reason, step",
+        [
+            # the steps pin the weights and MLP parameters at coord_bound 1e6,
+            # where Z^T Z + s2 I is numerically singular at evaluation
+            (
+                "minimax",
+                "non-finite NLL: NotPositiveDefiniteError: evaluation information matrix:"
+                " not positive definite",
+                34,
+            ),
+            # bsgd inverts its batch information sum inside the step
+            (
+                "bsgd",
+                "NotPositiveDefiniteError: batch information matrix: not positive definite",
+                3,
+            ),
+        ],
+        ids=["minimax", "bsgd"],
+    )
+    def test_failed_factorization_names_its_matrix(self, optimizer, reason, step):
+        cfg = ExperimentConfig(
+            synth=SynthSpec(n=300, p=3, d=4, sigma2=0.5, map_kind="mlp", mlp_hidden=4),
+            feature_map="mlp",
+            mlp_hidden=8,
+            mlp_out=4,
+            optimizer=optimizer,
+            learning_rate=10.0,
+            epochs=3,
+            batch_size=8,
+        )
+        rec = run_experiment(cfg)
+        assert rec.diverge_reason.startswith(reason + " (failing pivot ")
+        assert (rec.diverge_epoch, rec.diverge_step) == (1, step)
+        assert rec.epochs[-1]["nll"] == math.inf
 
     def test_overflowing_step_names_the_floating_point_fault(self):
         # scgd at this rate overflows a matmul in the seventh step; the step

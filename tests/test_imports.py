@@ -209,17 +209,31 @@ def test_no_training_module_holds_an_oracle():
         assert not held, "stochgp.%s holds %s from stochgp.oracles" % (name, held)
 
 
-def test_every_module_the_tracer_wraps_imports():
-    # Tracer.install imports each one; a deleted or renamed module would crash --trace 1
+def _layertrace():
     spec = importlib.util.spec_from_file_location(
         "layertrace", ROOT / "benchmarks" / "layertrace.py"
     )
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
-    names = sorted({target[0] for target in layertrace.TARGETS})
+    return layertrace
+
+
+def test_every_module_the_tracer_wraps_imports():
+    # Tracer.install imports each one; a deleted or renamed module would crash --trace 1
+    names = sorted({target[0] for target in _layertrace().TARGETS})
     assert names
     for name in names:
         importlib.import_module(name)
+
+
+def test_every_feature_map_method_the_tracer_wraps_is_its_owners():
+    # the tracer wraps a method through vars(owner); one its class only
+    # inherits is skipped, and its features.* metrics would read 0
+    targets = [t for t in _layertrace().TARGETS if t[0] == "stochgp.features"]
+    assert targets
+    module = importlib.import_module("stochgp.features")
+    for _, owner, attr, _ in targets:
+        assert attr in vars(getattr(module, owner)), "%s.%s" % (owner, attr)
 
 
 STEP_RULES = ("minimax_step", "scgd_step", "bsgd_step")

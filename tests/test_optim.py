@@ -588,6 +588,15 @@ class TestMinimaxStep:
         assert residual(zeta) < 0.05
 
 
+    def test_indefinite_surrogate_is_named(self):
+        fmap, theta, X, y = small_instance(24)
+        zeta = AugmentedState(theta, np.diag([1.0, -0.5]))
+        cfg = MinimaxConfig(primal_rate=1e-3, dual_rate=1e-3)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            minimax_step(fmap, zeta, np.zeros((2, 2)), X, y, [0, 1], [2, 3], cfg)
+        assert str(exc.value) == "surrogate matrix: not positive definite (failing pivot 2)"
+
+
 class TestSCGD:
     def test_init_tracker_exact(self):
         fmap, theta, X, y = small_instance(28)
@@ -730,6 +739,16 @@ class TestBSGD:
         fmap, theta, X, y = small_instance(38)
         with pytest.raises(ValueError, match="non-empty"):
             bsgd_step(fmap, theta, X, y, np.array([], dtype=np.int64), a_t=1e-3)
+
+
+    def test_indefinite_batch_information_is_named(self):
+        # a negative noise variance pulls the batch information sum's diagonal
+        # below zero; the step inverts that sum before the loss checks s2
+        fmap, theta, X, y = small_instance(39)
+        theta = HyperParams(theta.weights, theta.feature_params, -100.0)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            bsgd_step(fmap, theta, X, y, np.array([0, 1]), a_t=1e-3)
+        assert str(exc.value).startswith("batch information matrix: not positive definite")
 
 
 class TestOptimizerCoincidence:
