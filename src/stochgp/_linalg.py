@@ -225,9 +225,16 @@ def gram(Z: np.ndarray, shift: float = 0.0) -> np.ndarray:
     """Z^T Z + shift I as a full symmetric matrix (syrk + mirror).
 
     The diagonal is syrk's diagonal plus the shift, so gram(Z, c) equals
-    gram(Z) with c added to its diagonal, bit for bit.
+    gram(Z) with c added to its diagonal, bit for bit. syrk gets whichever of
+    Z and Z^T is Fortran-ordered, so a C-ordered Z is read in place: handed
+    over as Z with trans=1, f2py would first copy it into a transposed n x d
+    array. Both calls give the same bits.
     """
-    G = _syrk(1.0, _as_f64(Z), trans=1, lower=0)
+    Z = _as_f64(Z)
+    if Z.flags.f_contiguous:
+        G = _syrk(1.0, Z, trans=1, lower=0)
+    else:
+        G = _syrk(1.0, Z.T, trans=0, lower=0)
     diag = diagonal(G)
     top = diag + shift
     # syrk leaves zeros below the diagonal, so this mirrors the upper triangle

@@ -53,6 +53,8 @@ class Dataset:
             )
         if X.shape[0] == 0:
             raise ValueError("empty dataset")
+        if X.shape[1] == 0:
+            raise ValueError("dataset has no feature columns, only the target")
         if not np.all(np.isfinite(X)):
             raise ValueError("feature matrix contains non-finite entries")
         if not np.all(np.isfinite(y)):

@@ -14,15 +14,24 @@ loss minimized over the weights, which equals the kernel-space value at a
 d x d cost. It is exact on training sets of at most 2000 rows and otherwise
 taken on a fixed 2000-row subsample (the record's ``nll_kind`` says which).
 One Cholesky factor of Z^T Z + s2 I gives both the NLL and the gradient norm
-of the divergence probe. A run is marked diverged when a step errors out,
-the evaluated loss is non-finite, or the gradient norm at evaluation exceeds
-1e12; diverged runs score +inf so a grid search skips them. The record says
-which of the three happened (``diverge_reason``) and at which epoch and
-step count. Steps run under np.errstate(over="raise", invalid="raise",
-divide="raise"), so a floating-point overflow, invalid operation or division
-by zero in a step is such an error and names itself; underflow stays
-silent. The evaluation runs outside; when it raises, the reason is
-"non-finite NLL" followed by the exception's class and message.
+of the divergence probe.
+
+Every pass over the data outside the steps (the start of ``minimax`` and
+``scgd``, each evaluation and the final test prediction) runs over row blocks
+of at most max(1, BLOCK_FLOATS // d) rows (``stochgp.objective``). So beyond
+the data and a step's own arrays, a run holds O(block (hidden + d) + d^2)
+floats, however many rows it has. A single block does the arithmetic of a
+whole-matrix pass bit for bit; more blocks change only the summation order.
+
+A run is marked diverged when a step errors out, the evaluated loss is
+non-finite, or the gradient norm at evaluation exceeds 1e12; diverged runs
+score +inf so a grid search skips them. The record says which of the three
+happened (``diverge_reason``) and at which epoch and step count. Steps run
+under np.errstate(over="raise", invalid="raise", divide="raise"), so a
+floating-point overflow, invalid operation or division by zero in a step is
+such an error and names itself; underflow stays silent. The evaluation runs
+outside; when it raises, the reason is "non-finite NLL" followed by the
+exception's class and message.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
-from stochgp._linalg import chol_lower, chol_solve, gram, logdet_from_chol, tri_inverse_lower
+from stochgp._linalg import chol_lower, chol_solve, logdet_from_chol, tri_inverse_lower
 from stochgp.data import (
     Dataset,
     Scaler,
@@ -54,7 +63,7 @@ from stochgp.features import (
     compose,
     rff_init,
 )
-from stochgp.objective import HyperParams, _linearized_core
+from stochgp.objective import HyperParams, _feature_blocks, _linearized_core, _ridge_system
 from stochgp.optim import (
     MinimaxConfig,
     Schedule,
@@ -65,7 +74,7 @@ from stochgp.optim import (
     scgd_step,
     schedule_at,
 )
-from stochgp.predict import rmse
+from stochgp.predict import _ridge_fit, rmse
 
 __all__ = [
     "DEFAULT_GRID",
@@ -367,27 +376,51 @@ class _Evaluator:
         that of the linearized loss at theta's own weights with M = F^{-1},
         F = Z^T Z + s2 I. A failure raises (ValueError or LinAlgError), and
         ``_train`` records its class and message.
+
+        One pass over the row blocks accumulates F and Z^T y; a second
+        computes the ridge residual and sums the probe's gradient over the
+        blocks. When the rows make one block, the second pass reuses the
+        first one's features instead of computing them again.
         """
-        X, y = self.X, self.y
-        n, d = X.shape[0], self.fmap.output_dim
+        X, y, fmap = self.X, self.y, self.fmap
+        n, d = X.shape[0], fmap.output_dim
         s2 = theta.noise_variance
-        batch = self.fmap.forward(theta.feature_params, X)
-        Z = batch.Z
-        L = chol_lower(gram(Z, s2), "evaluation information matrix")
-        w = chol_solve(L, Z.T @ y)
-        r = Z @ w - y
-        raw = (
-            float(r @ r) / s2
-            + float(w @ w)
-            + logdet_from_chol(L)
-            + (n - d) * math.log(s2)
-        )
-        Li = tri_inverse_lower(L)
+        F, Zty, batch = _ridge_system(fmap, theta.feature_params, s2, X, y)
+        L = chol_lower(F, "evaluation information matrix")
+        w = chol_solve(L, Zty)
+        logdet = logdet_from_chol(L)
+        Li = tri_inverse_lower(L)  # overwrites L
         M = Li.T @ Li
-        g = _linearized_core(
-            self.fmap, theta, batch, y, Z @ (M + M.T), float(np.trace(M)), n
-        )
+        M_sym, trace_M = M + M.T, float(np.trace(M))
+        if batch is None:
+            blocks = _feature_blocks(fmap, theta.feature_params, X)
+        else:
+            blocks = [(slice(None), batch)]
+        rr, g = 0.0, None
+        for rows, fb in blocks:
+            r = fb.Z @ w - y[rows]
+            rr += float(r @ r)
+            g_block = _linearized_core(fmap, theta, fb, y[rows], fb.Z @ M_sym, trace_M, n)
+            g = g_block if g is None else g.plus(g_block)
+        raw = rr / s2 + float(w @ w) + logdet + (n - d) * math.log(s2)
         return (raw + n * math.log(2 * math.pi)) / (2 * n), g.norm()
+
+
+def _test_predictions(
+    fmap: FeatureMap, theta: HyperParams, X: np.ndarray, y: np.ndarray, X_test: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(posterior mean, prediction with theta's own weights) at the test rows.
+
+    The posterior mean is that of ``predict.posterior``, from the same
+    blocked ridge fit; the test rows are then passed over block by block.
+    """
+    params = theta.feature_params
+    w = _ridge_fit(fmap, params, theta.noise_variance, X, y)[1]
+    marginal, learned = [], []
+    for _, batch in _feature_blocks(fmap, params, X_test):
+        marginal.append(batch.Z @ w)
+        learned.append(batch.Z @ theta.weights)
+    return np.concatenate(marginal), np.concatenate(learned)
 
 
 def _draw_epoch(n: int, s: int, mode: str, rng: np.random.Generator) -> list[np.ndarray]:
@@ -531,16 +564,9 @@ def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
     record.best_feature_flat = best_theta.feature_params.flat.tolist()
     record.best_noise_variance = best_theta.noise_variance
 
-    # the posterior mean at the test rows, from one factor of Z^T Z + s2 I
-    Z = fmap.forward(best_theta.feature_params, X).Z
-    Z_test = fmap.forward(best_theta.feature_params, prep.X_test).Z
-    L = chol_lower(gram(Z, best_theta.noise_variance), "posterior information matrix")
-    record.test_rmse_marginal = rmse(
-        prep.scaler.inverse_targets(Z_test @ chol_solve(L, Z.T @ y)), prep.test_targets
-    )
-    record.test_rmse_learned_w = rmse(
-        prep.scaler.inverse_targets(Z_test @ best_theta.weights), prep.test_targets
-    )
+    marginal, learned = _test_predictions(fmap, best_theta, X, y, prep.X_test)
+    record.test_rmse_marginal = rmse(prep.scaler.inverse_targets(marginal), prep.test_targets)
+    record.test_rmse_learned_w = rmse(prep.scaler.inverse_targets(learned), prep.test_targets)
     return record
 
 

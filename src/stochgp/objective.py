@@ -10,9 +10,11 @@ y^T (Z Z^T + s2 I)^{-1} y + logdet(Z Z^T + s2 I). The loss splits into a
 sum of per-sample scalar terms plus a log-determinant of a sum of per-sample
 matrix terms; the stochastic optimizers in :mod:`stochgp.optim` are built on
 that split. This module holds what a run executes: the parameter point, the
-information matrix and the linearized-gradient body the steps share. The
-reference computations that check it (the per-sample terms, the whole loss,
-the kernel-space oracle) are in :mod:`stochgp.oracles`.
+information matrix and the linearized-gradient body the steps share, and the
+row-blocked pass over the data that the start, the per-epoch evaluation and
+the prediction share. The reference computations that check it (the
+per-sample terms, the whole loss, the kernel-space oracle) are in
+:mod:`stochgp.oracles`.
 """
 
 from __future__ import annotations
@@ -23,10 +25,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stochgp._linalg import gram
+from stochgp._linalg import diagonal, gram
 from stochgp.features import FeatureBatch, FeatureMap, FeatureMapParams
 
-__all__ = ["HyperParams", "ThetaGrad", "info_matrix"]
+__all__ = ["BLOCK_FLOATS", "HyperParams", "ThetaGrad", "info_matrix"]
+
+# A pass over the data computes the features of at most max(1, BLOCK_FLOATS // d)
+# rows at a time: one block's n x d features then take 512 KiB, the size of one
+# 256 x 256 work matrix, so the pass holds O(block (hidden + d) + d^2) floats
+# whatever the number of rows.
+BLOCK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,13 @@ class ThetaGrad(NamedTuple):
     def scaled(self, c: float) -> "ThetaGrad":
         return ThetaGrad(c * self.weights, c * self.feature_params, c * self.noise_variance)
 
+    def plus(self, other: "ThetaGrad") -> "ThetaGrad":
+        return ThetaGrad(
+            self.weights + other.weights,
+            self.feature_params + other.feature_params,
+            self.noise_variance + other.noise_variance,
+        )
+
     def norm(self) -> float:
         return float(
             np.sqrt(
@@ -86,10 +101,57 @@ def _check_noise(noise_variance: float) -> float:
     return s2
 
 
+def _row_blocks(n: int, d: int, rows: int | None = None) -> list[slice]:
+    """Consecutive slices of ``rows`` rows each (the last may be short) covering n rows.
+
+    ``rows`` defaults to max(1, BLOCK_FLOATS // d). No rows still make one
+    empty block, so a pass over them gives what one over an empty Z would.
+    """
+    step = max(1, BLOCK_FLOATS // d) if rows is None else rows
+    return [slice(start, min(start + step, n)) for start in range(0, max(n, 1), step)]
+
+
+def _feature_blocks(fmap: FeatureMap, feature_params: FeatureMapParams, X: np.ndarray):
+    """(row slice, FeatureBatch) of each row block of X in turn, one block computed at a time."""
+    for rows in _row_blocks(len(X), fmap.output_dim):
+        yield rows, fmap.forward(feature_params, X[rows])
+
+
+def _ridge_system(
+    fmap: FeatureMap,
+    feature_params: FeatureMapParams,
+    s2: float,
+    X: np.ndarray,
+    y: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, FeatureBatch | None]:
+    """(Z^T Z + s2 I, Z^T y, batch) from one pass over the row blocks of X.
+
+    The blocks' grams and products are summed in row order and s2 is added
+    once, so for a single block the result is gram(Z, s2) and Z^T y bit for
+    bit. Z^T y is None when y is. ``batch`` is X's FeatureBatch when X is a
+    single block, for a second pass to reuse, and None otherwise.
+    """
+    for k, (rows, batch) in enumerate(_feature_blocks(fmap, feature_params, X)):
+        Z = batch.Z
+        if k == 0:
+            F = gram(Z)
+            Zty = None if y is None else Z.T @ y[rows]
+        else:
+            F += gram(Z)
+            if y is not None:
+                Zty += Z.T @ y[rows]
+    diagonal(F)[...] += s2
+    return F, Zty, batch if k == 0 else None
+
+
 def info_matrix(fmap: FeatureMap, theta: HyperParams, X: np.ndarray) -> np.ndarray:
-    """Z^T Z + s2 I over the whole design matrix, the d x d information matrix."""
+    """Z^T Z + s2 I over every row of X, the d x d information matrix.
+
+    The features are computed and their grams summed one row block at a time
+    (see ``BLOCK_FLOATS``), so the n x d matrix Z is never held whole.
+    """
     s2 = _check_noise(theta.noise_variance)
-    return gram(fmap.forward(theta.feature_params, X).Z, s2)
+    return _ridge_system(fmap, theta.feature_params, s2, X)[0]
 
 
 def _linearized_core(

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stochgp._linalg import chol_lower, chol_solve, gram
+from stochgp._linalg import chol_lower, chol_solve
 from stochgp.features import FeatureMap, FeatureMapParams
+from stochgp.objective import _feature_blocks, _ridge_system
 
 __all__ = ["Posterior", "posterior", "rmse"]
 
@@ -18,6 +19,23 @@ class Posterior:
 
     mean: np.ndarray
     variance: np.ndarray
+
+
+def _ridge_fit(
+    fmap: FeatureMap,
+    feature_params: FeatureMapParams,
+    s2: float,
+    X_train: np.ndarray,
+    y_train: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(L, w): the Cholesky factor of Z^T Z + s2 I and the ridge weights (Z^T Z + s2 I)^{-1} Z^T y.
+
+    One pass over the row blocks of the training rows accumulates the system,
+    so the training features are never held whole.
+    """
+    F, Zty, _ = _ridge_system(fmap, feature_params, s2, X_train, y_train)
+    L = chol_lower(F, "posterior information matrix")
+    return L, chol_solve(L, Zty)
 
 
 def posterior(
@@ -32,20 +50,24 @@ def posterior(
 
     With train features Z and a test feature row z: mean = z^T (Z^T Z +
     sigma2 I)^{-1} Z^T y and variance = sigma2 * (1 + z^T (Z^T Z + sigma2
-    I)^{-1} z), all through a single Cholesky factorization.
+    I)^{-1} z), all through a single Cholesky factorization. The training
+    rows and then the test rows are passed over in row blocks (see
+    ``stochgp.objective.BLOCK_FLOATS``), so beyond the inputs and the two
+    length-t outputs the memory held is O(block (hidden + d) + d^2), the
+    same ridge body that a run's final prediction uses.
     """
     s2 = float(sigma2)
     if s2 <= 0.0:
         raise ValueError("noise variance must be positive, got %g" % s2)
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
-    Z = fmap.forward(feature_params, X_train).Z
-    Zs = fmap.forward(feature_params, np.asarray(X_test, dtype=np.float64)).Z
-
-    L = chol_lower(gram(Z, s2), "posterior information matrix")
-    mean = Zs @ chol_solve(L, Z.T @ y_train)
-    quad = np.einsum("td,dt->t", Zs, chol_solve(L, Zs.T))
-    return Posterior(mean, s2 * (1.0 + quad))
+    L, w = _ridge_fit(fmap, feature_params, s2, X_train, y_train)
+    mean, variance = [], []
+    for _, batch in _feature_blocks(fmap, feature_params, np.asarray(X_test, dtype=np.float64)):
+        Zs = batch.Z
+        mean.append(Zs @ w)
+        variance.append(s2 * (1.0 + np.einsum("td,dt->t", Zs, chol_solve(L, Zs.T))))
+    return Posterior(np.concatenate(mean), np.concatenate(variance))
 
 
 def rmse(pred: np.ndarray, y: np.ndarray) -> float:

@@ -280,6 +280,7 @@ class TestRunCommand:
             ("a,target\n1,2\n3,x\n", "target", "non-numeric cell at line 3, column 'target'"),
             ("a,target\n1,2\n3\n", "target", "line 3 has 1 cells, header has 2"),
             ("a,target\n1,2\n3,4\n", "2", "target column index 2 out of range for 2 columns"),
+            ("target\n1\n2\n3\n4\n5\n", "target", "dataset has no feature columns, only the target"),
         ],
     )
     def test_data_that_do_not_load_are_a_usage_error(self, tmp_path, capsys, body, target, message):

@@ -31,6 +31,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(X, np.zeros(2))
 
+    def test_no_feature_columns_rejected(self):
+        with pytest.raises(ValueError, match="no feature columns"):
+            Dataset(np.empty((5, 0)), np.zeros(5))
+
     def test_coerces_to_float64(self):
         d = Dataset(np.arange(6, dtype=np.int32).reshape(3, 2), np.arange(3))
         assert d.features.dtype == np.float64
@@ -244,6 +248,9 @@ class TestLoadCsvProperty:
             fh.write(text)
         tcol = data.draw(st.integers(0, len(header) - 1))
         target = header[tcol] if by_name else tcol
+        if message is None and len(header) == 1:
+            # a well-formed file whose one column is the target leaves no features
+            message = "dataset has no feature columns, only the target"
         if message is not None:
             with pytest.raises(ValueError) as err:
                 load_csv(path, target)

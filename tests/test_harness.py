@@ -2,22 +2,26 @@
 
 import json
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import stochgp.objective
 from stochgp._linalg import spd_inverse
 from stochgp.data import load_csv, split, standardize
-from stochgp.features import LinearMap, MLPMap, MLPSpec
+from stochgp.features import LinearMap, MLPMap, MLPSpec, compose, rff_init
 from stochgp.harness import (
     DEFAULT_GRID,
     ExperimentConfig,
     SynthSpec,
     _draw_epoch,
     _Evaluator,
+    _test_predictions,
     assemble_table,
     build_feature_map,
     config_from_dict,
@@ -27,8 +31,9 @@ from stochgp.harness import (
     run_experiment,
     write_run,
 )
-from stochgp.objective import HyperParams, info_matrix
+from stochgp.objective import HyperParams, _row_blocks, info_matrix
 from stochgp.oracles import exact_nll_oracle, grad_theta_of_linearized
+from stochgp.predict import rmse
 
 
 class TestSynthSpec:
@@ -594,6 +599,86 @@ class TestNllNormalization:
         M = spd_inverse(info_matrix(fmap, theta, X))
         expected = grad_theta_of_linearized(fmap, theta, X, y, M, n).norm()
         assert grad_norm == pytest.approx(expected, rel=1e-10)
+
+
+def _blocked_passes(fmap, theta, X, y, X_test, y_test):
+    """info_matrix, (NLL, probe norm) and the two test RMSEs at theta."""
+    nll, probe = _Evaluator(fmap, X, y, 0).nll(theta)
+    marginal, learned = _test_predictions(fmap, theta, X, y, X_test)
+    return info_matrix(fmap, theta, X), nll, probe, rmse(marginal, y_test), rmse(learned, y_test)
+
+
+class TestBlockedPasses:
+    @staticmethod
+    def _peak_bytes(n):
+        # d = 64 MLP: 1024-row blocks, so 2048 rows make 2 blocks and 16384 make 16
+        rng = np.random.default_rng(0)
+        fmap = MLPMap(MLPSpec(8, (64, 64)))
+        X, y = rng.normal(size=(n, 8)), rng.normal(size=n)
+        X_test = rng.normal(size=(256, 8))
+        theta = HyperParams(rng.normal(size=64), fmap.init_params(0), 0.5)
+        evaluator = _Evaluator(fmap, X, y, 0)
+        tracemalloc.start()
+        try:
+            info_matrix(fmap, theta, X)
+            evaluator.nll(theta)
+            _test_predictions(fmap, theta, X, y, X_test)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_the_rows(self):
+        # whole-matrix passes peak at about 8x more on 8x the rows
+        small, large = self._peak_bytes(2048), self._peak_bytes(16384)
+        assert large <= 1.3 * small, (small, large)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["linear", "mlp", "mlp+rff"]),
+        rows=st.integers(1, 8),
+        blocks=st.floats(0.1, 4.0),
+        p=st.integers(1, 6),
+        hidden=st.integers(1, 6),
+        d=st.integers(1, 24),
+        s2=st.floats(0.2, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_small_blocks_match_one_block(self, kind, rows, blocks, p, hidden, d, s2, seed):
+        # n runs from one row to about four blocks, d > n included; s2 >= 0.2
+        # keeps the normalized NLL away from zero so a relative bound is fair
+        n = max(1, round(blocks * rows))
+        rng = np.random.default_rng(seed)
+        if kind == "linear":
+            fmap = LinearMap(p)
+        elif kind == "mlp":
+            fmap = MLPMap(MLPSpec(p, (hidden, d)))
+        else:
+            outer = rff_init(q=hidden, D=2 * d, u1=1.0, u2=1.0, seed=seed % 1000)
+            fmap = compose(outer, MLPMap(MLPSpec(p, (hidden, hidden))))
+        d = fmap.output_dim
+        theta = HyperParams(rng.normal(size=d), fmap.init_params(seed), s2)
+        X, y = rng.normal(size=(n, p)), rng.normal(size=n)
+        X_test, y_test = rng.normal(size=(n + 3, p)), rng.normal(size=n + 3)
+
+        assert len(_row_blocks(n, d)) == 1
+        whole = _blocked_passes(fmap, theta, X, y, X_test, y_test)
+        counts = []
+
+        def forced(n, d, rows=None, _rows=rows):
+            out = _row_blocks(n, d, _rows)
+            counts.append(len(out))
+            return out
+
+        with mock.patch.object(stochgp.objective, "_row_blocks", forced):
+            blocked = _blocked_passes(fmap, theta, X, y, X_test, y_test)
+        assert -(-n // rows) in counts and -(-(n + 3) // rows) in counts
+
+        F, F_whole = blocked[0], whole[0]
+        assert np.linalg.norm(F - F_whole) <= 1e-12 * np.linalg.norm(F_whole)
+        for value, reference in zip(blocked[1:], whole[1:]):
+            assert value == pytest.approx(reference, rel=1e-12, abs=0)
+        raw = exact_nll_oracle(fmap, theta.feature_params, s2, X, y)
+        assert blocked[1] == pytest.approx((raw + n * math.log(2 * math.pi)) / (2 * n), rel=1e-10)
 
 
 class TestGridSearch:

@@ -274,3 +274,25 @@ def test_a_run_calls_its_step_rule_and_projection_by_module_attribute(monkeypatc
     assert steps == 2 * 5  # two epochs of ceil(36 / 8) batches
     assert counts.pop("project_primal", 0) == (steps if optimizer == "minimax" else 0)
     assert counts == {}
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_a_run_evaluates_and_starts_through_the_names_the_tracer_wraps(monkeypatch, optimizer):
+    # harness.eval_s_per_epoch times stochgp.harness._Evaluator.nll, and
+    # objective.info_matrix_s the start of minimax and scgd at stochgp.optim's
+    # info_matrix; a blocked pass that bypassed either would leave them empty
+    counts = {}
+    _count_calls(monkeypatch, stochgp.harness._Evaluator, "nll", counts)
+    _count_calls(monkeypatch, stochgp.optim, "info_matrix", counts)
+    record = run_experiment(
+        ExperimentConfig(
+            synth=SynthSpec(n=40, p=3, d=3, sigma2=0.5),
+            optimizer=optimizer,
+            batch_size=8,
+            epochs=2,
+            learning_rate=1e-3,
+        )
+    )
+    assert not record.diverged
+    starts = {} if optimizer == "bsgd" else {"info_matrix": 1}
+    assert counts == {"nll": 2, **starts}

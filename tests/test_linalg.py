@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
-from stochgp._linalg import chol_lower, chol_solve, frobenius, gram, tri_inverse_lower
+from stochgp._linalg import _syrk, chol_lower, chol_solve, frobenius, gram, tri_inverse_lower
 
 
 class TestGram:
@@ -32,6 +32,28 @@ class TestGram:
         unshifted = gram(Z)
         unshifted[np.diag_indices(d)] += shift
         assert np.array_equal(G, unshifted)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=st.integers(1, 300),
+        d=st.integers(1, 40),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        shift=st.just(0.0) | st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_syrk_of_z_transposed_bit_for_bit(self, s, d, layout, shift, seed):
+        # gram hands a C-ordered Z to syrk as Z^T with trans=0 so that nothing
+        # is copied; the bits must be those of syrk(trans=1) on Z
+        base = np.random.default_rng(seed).normal(size=(2 * s, 2 * d))
+        Z = {
+            "C": np.ascontiguousarray(base[:s, :d]),
+            "F": np.asfortranarray(base[:s, :d]),
+            "strided": base[::2, ::2],
+        }[layout]
+        ref = _syrk(1.0, np.array(Z, order="C"), trans=1, lower=0)
+        ref = ref + np.triu(ref, 1).T
+        ref[np.diag_indices(d)] += shift
+        assert np.array_equal(gram(Z, shift), ref)
 
 
 class TestLapackBuild:
