@@ -228,9 +228,15 @@ def gram(Z: np.ndarray, shift: float = 0.0) -> np.ndarray:
     gram(Z) with c added to its diagonal, bit for bit. syrk gets whichever of
     Z and Z^T is Fortran-ordered, so a C-ordered Z is read in place: handed
     over as Z with trans=1, f2py would first copy it into a transposed n x d
-    array. Both calls give the same bits.
+    array. Both calls give the same bits. A Z with no rows gives shift I
+    without a call: (0, d) is both C- and Fortran-ordered, so syrk would get
+    a leading dimension of 0, which OpenBLAS reports on stderr.
     """
     Z = _as_f64(Z)
+    if Z.shape[0] == 0:
+        G = np.zeros((Z.shape[1], Z.shape[1]), order="F")
+        diagonal(G)[...] = shift
+        return G
     if Z.flags.f_contiguous:
         G = _syrk(1.0, Z, trans=1, lower=0)
     else:

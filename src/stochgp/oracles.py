@@ -7,8 +7,9 @@ the ridge minimizer and the n x n kernel-space NLL it must match
 ``minimax_step`` per sample with its batch gradients (which run the step's
 own gradient body). ``self_checks`` holds the identities ``stochgp check``
 prints, among them that ``RFFMap`` draws what ``scipy.stats.qmc`` draws,
-through the private Sobol engine it binds. They form n x n or per-sample
-arrays: test-scale data only.
+through the private Sobol engine it binds, and that its tangent-formed
+features agree with libm's cos and sin (``rff_trig_error``). They form
+n x n or per-sample arrays: test-scale data only.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "logdet_psd",
     "minimax_batch_grads",
     "minimax_sample_objective",
+    "rff_trig_error",
     "ridge_closed_form",
     "ridge_identity_check",
     "sample_info_term",
@@ -196,6 +198,24 @@ def minimax_batch_grads(
     return g_theta, g_A, _dual_grad(zeta.info_surrogate, info_sum, n, s, penalty)
 
 
+def rff_trig_error(arguments: np.ndarray) -> float:
+    """Worst |Z - amp [cos a, sin a]| of ``RFFMap.forward`` near the given arguments, in eps amp.
+
+    A one-input, one-pair map is fed x = a / w for each argument a, with w
+    its frequency, so it evaluates its features at a or within an ulp or two
+    of it. The reference is libm's cos and sin (numpy's) of the arguments
+    the forward formed itself, proj / u1, here with u1 = u2 = amp = 1.
+    """
+    fmap = RFFMap(1, 2, seed=0)
+    params = fmap.params_from_flat(np.zeros(2))
+    X = np.asarray(arguments, dtype=np.float64)[:, None] / fmap.frequencies[0, 0]
+    batch = fmap.forward(params, X)
+    a = batch.cache["proj"] / batch.cache["u1"]
+    err = np.abs(batch.Z - np.hstack([np.cos(a), np.sin(a)]))
+    return float(np.max(err, initial=0.0)) / np.finfo(np.float64).eps
+
+
+
 def self_checks():
     """Yield (name, passed, detail) for the built-in consistency identities."""
     rng = np.random.default_rng(7)
@@ -318,4 +338,18 @@ def self_checks():
         same += np.array_equal(frequencies, ndtri(0.5 + (1.0 - 1e-10) * (points - 0.5)))
     yield "random Fourier frequencies equal the scipy.stats.qmc draw", same == len(draws), (
         "%d of %d draws bit for bit" % (same, len(draws))
+    )
+
+    # numpy's tan is SIMD on some builds and CPUs and libm's elsewhere. The
+    # arguments: the floats within 3 ulps of k pi/2 at every scale up to
+    # k = 640000 (about 1e6), tiny ones down to 1e-300, and a log-spaced
+    # sweep from 1e-6 to 1e6, all of both signs
+    k = np.unique(np.round(np.logspace(0.0, math.log10(640000.0), 600)))
+    centre = np.concatenate([-k[::-1], [0.0], k]) * (np.pi / 2)
+    near = centre[:, None] + np.arange(-3, 4) * np.spacing(centre)[:, None]
+    tiny, wide = np.logspace(-300, -6, 200), np.logspace(-6, 6, 2000)
+    args = np.concatenate([near.ravel(), tiny, -tiny, wide, -wide])
+    worst = rff_trig_error(args)
+    yield "random Fourier features agree with libm cos/sin within 4 eps", worst <= 4.0, (
+        "worst %.2f eps over %d arguments near k pi/2, tiny and up to 1e6" % (worst, len(args))
     )

@@ -554,4 +554,5 @@ class TestCheckCommand:
             "projection feasibility and idempotence (200 states)",
             "full-batch optimizer coincidence",
             "random Fourier frequencies equal the scipy.stats.qmc draw",
+            "random Fourier features agree with libm cos/sin within 4 eps",
         ]

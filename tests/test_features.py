@@ -29,6 +29,7 @@ from stochgp.features import (
     compose,
     rff_init,
 )
+from stochgp.oracles import rff_trig_error
 
 
 class ScaleMap(FeatureMap):
@@ -376,8 +377,15 @@ class TestRFF:
         batch = fmap.forward(params, X)
         u1 = float(np.exp(log_u1))
         amp = np.sqrt(2.0 * float(np.exp(log_u2)) / (2 * half))
-        args = (X @ fmap.frequencies.T) / u1
-        assert np.array_equal(batch.Z, amp * np.hstack([np.cos(args), np.sin(args)]))
+        # the projection is X W^T to rounding, and the features are libm's
+        # cos and sin of its arguments within the documented 4 eps amp
+        eps = np.finfo(np.float64).eps
+        proj = batch.cache["proj"]
+        size = np.abs(X) @ np.abs(fmap.frequencies.T)
+        assert np.all(np.abs(proj - X @ fmap.frequencies.T) <= 2 * q * eps * size)
+        args = proj / u1
+        ref = amp * np.hstack([np.cos(args), np.sin(args)])
+        assert np.all(np.abs(batch.Z - ref) <= 4 * eps * amp)
 
         # reference: every frequency row stored twice, a -pi/2 phase on the
         # second copy, and the derivative taken through sin of the arguments
@@ -394,6 +402,44 @@ class TestRFF:
         assert abs(grad[0] - ref_u1) <= 1e-13 * float(np.sum(bound * np.abs(proj)) / u1)
         assert abs(grad[1] - ref_u2) <= 1e-13 * 0.5 * float(np.sum(bound))
         assert np.all(np.abs(g_inputs - ref_inputs) <= 1e-13 * (bound @ np.abs(W)) / u1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        near=st.lists(st.tuples(st.integers(-640_000, 640_000), st.integers(-3, 3)), max_size=30),
+        tiny=st.lists(st.floats(-1e-6, 1e-6), max_size=10),
+        wide=st.lists(st.floats(-1e6, 1e6), max_size=10),
+    )
+    def test_features_agree_with_libm_on_adversarial_arguments(self, near, tiny, wide):
+        # floats within 3 ulps of k pi/2 up to 1e6, tiny and subnormal
+        # arguments, and any argument up to 1e6
+        centre = np.array([k for k, _ in near], dtype=np.float64) * (np.pi / 2)
+        ulps = np.array([j for _, j in near], dtype=np.float64)
+        args = np.concatenate([centre + ulps * np.spacing(centre), tiny, wide])
+        assert rff_trig_error(args) <= 4.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half=st.integers(1, 80),
+        q=st.integers(1, 20),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_forward_is_the_same_over_any_row_split_and_layout(self, half, q, n, seed, data):
+        # every row's features are its own: the blocked passes and a one-row
+        # batch give the bits a forward over all rows gives
+        fmap = RFFMap(q, 2 * half, seed % 1000)
+        rng = np.random.default_rng(seed)
+        params = fmap.params_from_flat(rng.normal(size=2) * 0.5)
+        base = rng.normal(size=(2 * n, 3 * q)) * 3.0
+        X = np.ascontiguousarray(base[::2, 1::3])
+        Z = fmap.forward(params, X).Z
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+        parts = [fmap.forward(params, X[a:b]).Z for a, b in zip([0] + cuts, cuts + [n])]
+        assert np.array_equal(Z, np.vstack(parts))
+        assert np.array_equal(Z, np.vstack([fmap.forward(params, x[None]).Z for x in X]))
+        for view in (base[::2, 1::3], np.asfortranarray(X)):
+            assert np.array_equal(Z, fmap.forward(params, view).Z)
 
 
 class TestCompose:

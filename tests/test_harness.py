@@ -383,6 +383,24 @@ class TestRunExperiment:
         # an evaluation failure counts at the epoch's last step: 108 rows, batch 8
         assert rec.diverge_step == 14 * rec.diverge_epoch
 
+    def test_scgd_blow_up_names_its_overflow(self):
+        # scgd has no coordinate box: its step overflows under the step
+        # loop's errstate, and the reason is that overflow, not a later symptom
+        cfg = ExperimentConfig(
+            synth=SynthSpec(n=60, p=2, d=2, sigma2=0.5, seed=0),
+            feature_map="mlp",
+            mlp_hidden=3,
+            mlp_out=3,
+            batch_size=8,
+            optimizer="scgd",
+            learning_rate=1e2,
+            epochs=3,
+        )
+        rec = run_experiment(cfg)
+        assert rec.diverged
+        assert rec.diverge_reason == "FloatingPointError: overflow encountered in matmul"
+        assert (rec.diverge_epoch, rec.diverge_step) == (1, 4)
+
     def test_diverge_reason_for_non_finite_nll(self, monkeypatch):
         monkeypatch.setattr(_Evaluator, "nll", lambda self, theta: (math.nan, 0.0))
         rec = run_experiment(_small_cfg())

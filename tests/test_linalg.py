@@ -1,11 +1,16 @@
 """Properties of the shared dense kernels in stochgp._linalg."""
 
+import os
+import subprocess
+import sys
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
+import stochgp
 from stochgp._linalg import _syrk, chol_lower, chol_solve, frobenius, gram, tri_inverse_lower
 
 
@@ -54,6 +59,29 @@ class TestGram:
         ref = ref + np.triu(ref, 1).T
         ref[np.diag_indices(d)] += shift
         assert np.array_equal(gram(Z, shift), ref)
+
+    def test_no_rows_give_the_shift_without_a_blas_complaint(self):
+        # OpenBLAS writes its argument errors to file descriptor 2, past
+        # sys.stderr, so the call runs in a child whose stderr is captured
+        code = (
+            "import numpy as np\n"
+            "from stochgp._linalg import gram\n"
+            "for d in (0, 1, 3):\n"
+            "    G = gram(np.empty((0, d)), 2.0)\n"
+            "    assert np.array_equal(G, 2.0 * np.eye(d)), G\n"
+            "print('ok')"
+        )
+        src = os.path.dirname(os.path.dirname(stochgp.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+        assert "DSYRK" not in proc.stderr, proc.stderr
 
 
 class TestLapackBuild:
