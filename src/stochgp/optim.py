@@ -435,7 +435,16 @@ def bsgd_step(
         raise ValueError("batch must be non-empty")
 
     fb = fmap.forward(theta.feature_params, X_batch)
-    M = spd_inverse(gram(fb.Z, s * theta.noise_variance / n), "batch information matrix")
+    shift = s * theta.noise_variance / n
+    try:
+        M = spd_inverse(gram(fb.Z, shift), "batch information matrix")
+    except NotPositiveDefiniteError as exc:
+        # the usual cause: rounding of order eps max|Z|^2 swamps the shift
+        exc.args = (
+            "%s; largest |feature| %.3g, diagonal shift s*s2/n %.3g"
+            % (exc, float(np.max(np.abs(fb.Z))), shift),
+        )
+        raise
     g = _linearized_core(
         fmap, theta, fb, _rows(y, batch), fb.Z @ (M + M.T), float(np.trace(M)), n
     )

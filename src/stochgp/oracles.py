@@ -5,24 +5,38 @@ They restate the loss of :mod:`stochgp.objective` sample by sample
 the ridge minimizer and the n x n kernel-space NLL it must match
 (``ridge_closed_form``, ``exact_nll_oracle``), and the penalized objective of
 ``minimax_step`` per sample with its batch gradients (which run the step's
-own gradient body). ``self_checks`` holds the identities ``stochgp check``
-prints, among them that ``RFFMap`` draws what ``scipy.stats.qmc`` draws,
-through the private Sobol engine it binds, and that its tangent-formed
-features agree with libm's cos and sin (``rff_trig_error``). They form
-n x n or per-sample arrays: test-scale data only.
+own gradient body). They form n x n or per-sample arrays: test-scale data
+only.
+
+Each of the paper's exactness identities has one body here that takes an
+instance and returns its measured gap: ``ridge_gaps`` and
+``ridge_minimum_gap`` (ridge and kernel forms), ``decomposition_gap``
+(per-sample decomposition), the ``*_grad_errors``/``*_grad_error`` and
+``backward_error`` bodies (gradients against central differences,
+``fd_grad``, ``fd_grad_matrix_sym``), ``enumeration_gaps`` and ``baseline_bias`` (unbiasedness by
+batch enumeration), ``coincidence_gap`` (full-batch ``scgd`` is ``bsgd``),
+and ``feasibility_gaps``, ``projection_gaps`` and ``dual_ball_gaps``
+(projections). ``stochgp check`` (``self_checks``), the acceptance scorecard
+and the unit tests all call these bodies. ``self_checks`` also checks that
+``RFFMap`` draws what ``scipy.stats.qmc`` draws, through the private Sobol
+engine it binds, and that its tangent-formed features agree with libm's cos
+and sin (``rff_trig_error``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from stochgp._linalg import chol_lower, chol_solve, diagonal, gram, logdet_from_chol, symmetrize
-from stochgp.features import FeatureMap, FeatureMapParams, MLPMap, MLPSpec, RFFMap
+from stochgp.features import FeatureMap, FeatureMapParams, LinearMap, MLPMap, MLPSpec, RFFMap
 from stochgp.objective import HyperParams, ThetaGrad, _check_noise, _linearized_core
 from stochgp.optim import (
     AugmentedState,
+    SCGDState,
     _dual_grad,
     _primal_grads,
     _square_f64,
@@ -35,17 +49,36 @@ from stochgp.optim import (
 )
 
 __all__ = [
+    "ProjectionGaps",
+    "backward_error",
+    "baseline_bias",
+    "bsgd_grad_error",
+    "coincidence_gap",
+    "decomposition_gap",
+    "dual_ball_gaps",
+    "enumeration_gaps",
     "exact_nll_oracle",
+    "fd_grad",
+    "fd_grad_matrix_sym",
+    "feasibility_gaps",
+    "flat",
     "full_loss",
     "grad_theta_of_linearized",
+    "linearized_grad_error",
     "logdet_psd",
+    "max_rel_error",
     "minimax_batch_grads",
     "minimax_sample_objective",
+    "penalized_grad_errors",
+    "projection_gaps",
     "rff_trig_error",
     "ridge_closed_form",
+    "ridge_gaps",
     "ridge_identity_check",
+    "ridge_minimum_gap",
     "sample_info_term",
     "sample_loss_term",
+    "scgd_grad_error",
     "self_checks",
 ]
 
@@ -215,21 +248,306 @@ def rff_trig_error(arguments: np.ndarray) -> float:
     return float(np.max(err, initial=0.0)) / np.finfo(np.float64).eps
 
 
+# -- finite differences and the error measure ---------------------------------
+
+
+def fd_grad(f, x0, h=1e-5):
+    """Central finite differences of a scalar function over each entry of an array."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    g = np.zeros_like(x0)
+    for k in np.ndindex(x0.shape):
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[k] += h
+        xm[k] -= h
+        g[k] = (f(xp) - f(xm)) / (2.0 * h)
+    return g
+
+
+def fd_grad_matrix_sym(f, A0, h=1e-6):
+    """Finite differences of f over a symmetric matrix variable.
+
+    Perturbs along the symmetric basis directions (E_jk + E_kj)/2 for j != k
+    and E_jj on the diagonal, which is the correct probe for the symmetrized
+    gradient of a function restricted to the symmetric subspace.
+    """
+    A0 = np.asarray(A0, dtype=np.float64)
+    d = A0.shape[0]
+    G = np.zeros_like(A0)
+    for j in range(d):
+        for k in range(j, d):
+            D = np.zeros_like(A0)
+            if j == k:
+                D[j, j] = 1.0
+            else:
+                D[j, k] = 0.5
+                D[k, j] = 0.5
+            G[j, k] = (f(A0 + h * D) - f(A0 - h * D)) / (2.0 * h)
+            G[k, j] = G[j, k]
+    return G
+
+
+def max_rel_error(value, reference, floor) -> float:
+    """max_i |value_i - reference_i| / max(|reference_i|, floor); 0 for empty arrays."""
+    a = np.ravel(np.asarray(value, dtype=np.float64))
+    b = np.ravel(np.asarray(reference, dtype=np.float64))
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), floor)))
+
+
+def flat(p: HyperParams | ThetaGrad) -> np.ndarray:
+    """Weights, flat feature-map parameters and noise variance as one vector."""
+    fp = p.feature_params
+    if isinstance(fp, FeatureMapParams):
+        fp = fp.flat
+    return np.concatenate([p.weights, fp, [p.noise_variance]])
+
+
+def _at(theta: HyperParams, v: np.ndarray) -> HyperParams:
+    """The parameter point whose ``flat`` is v, on theta's map layout."""
+    d = theta.d
+    return HyperParams(v[:d], theta.feature_params.with_flat(v[d:-1]), float(v[-1]))
+
+
+# -- one body per identity -----------------------------------------------------
+
+
+def ridge_minimum_gap(
+    fmap: FeatureMap, feature_params: FeatureMapParams, sigma2: float, X: np.ndarray, y: np.ndarray
+) -> float:
+    """|full_loss at the ridge minimizer - exact_nll_oracle| / max(1, |exact_nll_oracle|)."""
+    Z = fmap.forward(feature_params, X).Z
+    at_min = HyperParams(ridge_closed_form(Z, y, sigma2), feature_params, sigma2)
+    kernel = exact_nll_oracle(fmap, feature_params, sigma2, X, y)
+    return abs(full_loss(fmap, at_min, X, y) - kernel) / max(1.0, abs(kernel))
+
+
+def ridge_gaps(rng, instances: int, max_rows: int, max_dim: int, lam_range) -> tuple[float, float]:
+    """Worst (dual-vs-primal, ridge-minimum-vs-kernel) gaps over drawn identity-feature instances.
+
+    Each instance has n in [1, max_rows] rows of d in [1, max_dim] standard
+    normal features, standard normal targets and a regularizer log-uniform
+    on ``lam_range``. The dual-vs-primal gap is |lhs - rhs| / max(1, |rhs|)
+    of ``ridge_identity_check``; the other is ``ridge_minimum_gap`` with the
+    rows as the features.
+    """
+    lo, hi = (math.log10(v) for v in lam_range)
+    dual = minimum = 0.0
+    for _ in range(instances):
+        n = int(rng.integers(1, max_rows + 1))
+        d = int(rng.integers(1, max_dim + 1))
+        lam = float(10.0 ** rng.uniform(lo, hi))
+        V = rng.normal(size=(n, d))
+        b = rng.normal(size=n)
+        lhs, rhs = ridge_identity_check(V, b, lam)
+        dual = max(dual, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        fmap = LinearMap(d)
+        minimum = max(minimum, ridge_minimum_gap(fmap, fmap.init_params(0), lam, V, b))
+    return dual, minimum
+
+
+def decomposition_gap(fmap: FeatureMap, theta: HyperParams, X: np.ndarray, y: np.ndarray) -> float:
+    """|sum of the sample loss terms + logdet(sum of the sample info terms) - full_loss|."""
+    n = len(X)
+    total = sum(sample_loss_term(fmap, theta, X[i], y[i], n) for i in range(n))
+    F = sum(sample_info_term(fmap, theta, X[i], n) for i in range(n))
+    return abs(total + logdet_psd(F) - full_loss(fmap, theta, X, y))
+
+
+def penalized_grad_errors(
+    fmap: FeatureMap, zeta: AugmentedState, dual: np.ndarray, X: np.ndarray, y: np.ndarray,
+    idx, penalty: float,
+) -> dict[str, float]:
+    """``minimax_batch_grads`` on the rows idx against central differences, per block.
+
+    The reference is (n/s) times the batch sum of ``minimax_sample_objective``;
+    each value is a ``max_rel_error`` with floor 1e-8.
+    """
+    n, idx = len(X), list(idx)
+    theta, A = zeta.theta, zeta.info_surrogate
+    g_theta, g_A, g_B = minimax_batch_grads(fmap, zeta, dual, X[idx], y[idx], n, penalty)
+
+    def objective(z, B):
+        return n / len(idx) * sum(
+            minimax_sample_objective(fmap, z, B, X[i], y[i], n, penalty) for i in idx
+        )
+
+    return {
+        "penalized theta": max_rel_error(
+            flat(g_theta),
+            fd_grad(lambda v: objective(AugmentedState(_at(theta, v), A), dual), flat(theta)),
+            1e-8,
+        ),
+        "penalized surrogate": max_rel_error(
+            g_A, fd_grad_matrix_sym(lambda A_: objective(AugmentedState(theta, A_), dual), A), 1e-8
+        ),
+        "penalized dual": max_rel_error(g_B, fd_grad(lambda B: objective(zeta, B), dual, 1e-6), 1e-8),
+    }
+
+
+def _batch_loss(fmap, theta, X, y, idx, M=None):
+    """v -> sum over idx of the sample loss terms at _at(theta, v), plus <M, F> or, with
+    no M, logdet(F), for F the sum of the sample info terms."""
+    n = len(X)
+
+    def f(v):
+        th = _at(theta, v)
+        loss = sum(sample_loss_term(fmap, th, X[i], y[i], n) for i in idx)
+        F = sum(sample_info_term(fmap, th, X[i], n) for i in idx)
+        return loss + (logdet_psd(F) if M is None else float(np.sum(M * F)))
+
+    return f
+
+
+def linearized_grad_error(
+    fmap: FeatureMap, theta: HyperParams, X: np.ndarray, y: np.ndarray, idx, M: np.ndarray
+) -> float:
+    """``grad_theta_of_linearized`` against central differences of the batch loss linearized at M."""
+    g = grad_theta_of_linearized(fmap, theta, X[idx], y[idx], M, len(X))
+    return max_rel_error(flat(g), fd_grad(_batch_loss(fmap, theta, X, y, idx, M), flat(theta)), 1e-8)
+
+
+def scgd_grad_error(
+    fmap: FeatureMap, state: SCGDState, X: np.ndarray, y: np.ndarray, idx, a_t: float = 1e-4
+) -> float:
+    """``scgd_step``'s parameter direction against central differences of the batch loss
+    linearized at the inverse of the tracker it starts from."""
+    M = np.linalg.inv(state.tracked_info)
+    out = scgd_step(fmap, state, X, y, np.asarray(idx), a_t, 0.5)
+    direction = (flat(state.theta) - flat(out.theta)) / a_t
+    numeric = fd_grad(_batch_loss(fmap, state.theta, X, y, idx, M), flat(state.theta))
+    return max_rel_error(direction, numeric, 1e-8)
+
+
+def bsgd_grad_error(
+    fmap: FeatureMap, theta: HyperParams, X: np.ndarray, y: np.ndarray, idx, a_t: float = 1e-4
+) -> float:
+    """``bsgd_step``'s parameter direction against central differences of the batch loss."""
+    direction = (flat(theta) - flat(bsgd_step(fmap, theta, X, y, np.asarray(idx), a_t))) / a_t
+    return max_rel_error(direction, fd_grad(_batch_loss(fmap, theta, X, y, idx), flat(theta)), 1e-8)
+
+
+def backward_error(
+    fmap: FeatureMap, params: FeatureMapParams, X: np.ndarray, upstream: np.ndarray
+) -> float:
+    """``fmap.backward`` against central differences of sum(upstream * features)."""
+    analytic = fmap.backward(params, fmap.forward(params, X), upstream)
+
+    def contraction(v):
+        return float(np.sum(upstream * fmap.forward(params.with_flat(v), X).Z))
+
+    return max_rel_error(analytic, fd_grad(contraction, params.flat), 1e-8)
+
+
+def enumeration_gaps(
+    fmap: FeatureMap, zeta: AugmentedState, dual: np.ndarray, X: np.ndarray, y: np.ndarray,
+    s: int, penalty: float,
+) -> tuple[float, float]:
+    """How far the mean of ``minimax_batch_grads`` over every size-s batch is from the full gradient.
+
+    One gap for the ordered batches drawn with replacement, one for the
+    s-subsets; each is a ``max_rel_error`` with floor 1e-2 over all blocks.
+    """
+    n = len(X)
+
+    def blocks(idx):
+        g_theta, g_A, g_B = minimax_batch_grads(fmap, zeta, dual, X[idx], y[idx], n, penalty)
+        return np.concatenate([flat(g_theta), g_A.ravel(), g_B.ravel()])
+
+    full = blocks(np.arange(n))
+    gaps = []
+    for batches in (itertools.product(range(n), repeat=s), itertools.combinations(range(n), s)):
+        batches = list(batches)
+        mean = sum(blocks(list(b)) for b in batches) / len(batches)
+        gaps.append(max_rel_error(mean, full, 1e-2))
+    return gaps[0], gaps[1]
+
+
+def baseline_bias(
+    fmap: FeatureMap, theta: HyperParams, X: np.ndarray, y: np.ndarray, s: int, a_t: float = 1e-6
+) -> float:
+    """Norm of the mean ``bsgd_step`` direction over every ordered size-s batch minus the
+    full-batch direction: the baseline's small-batch bias, which enumeration does not remove."""
+
+    def direction(idx):
+        return (flat(theta) - flat(bsgd_step(fmap, theta, X, y, np.asarray(idx), a_t))) / a_t
+
+    mean = np.mean([direction(b) for b in itertools.product(range(len(X)), repeat=s)], axis=0)
+    return float(np.linalg.norm(mean - direction(np.arange(len(X)))))
+
+
+def coincidence_gap(
+    fmap: FeatureMap, theta: HyperParams, X: np.ndarray, y: np.ndarray, a_t: float
+) -> float:
+    """``scgd_step`` at the exact tracker, unit averaging weight and the whole dataset as
+    batch against ``bsgd_step`` on the full batch: the largest direction gap, relative to
+    max(1, largest |bsgd direction|)."""
+    full = np.arange(len(X))
+    stepped = scgd_step(fmap, scgd_init(fmap, theta, X), X, y, full, a_t, 1.0).theta
+    dir_s = (flat(theta) - flat(stepped)) / a_t
+    dir_b = (flat(theta) - flat(bsgd_step(fmap, theta, X, y, full, a_t))) / a_t
+    return float(np.max(np.abs(dir_s - dir_b))) / max(1.0, float(np.max(np.abs(dir_b))))
+
+
+def feasibility_gaps(
+    zeta: AugmentedState, sigma_min: float, coord_bound: float, eig_bound: float
+) -> tuple[float, float]:
+    """(bound, spectrum): how far a primal state lies outside the feasible set.
+
+    bound is the worst excess of the noise variance over [sigma_min^2,
+    coord_bound], of a weight or feature-map coordinate over coord_bound, and
+    of |A - A^T|; spectrum is the worst excess of A's eigenvalues over
+    [noise variance, eig_bound]. 0 means feasible.
+    """
+    s2, A = zeta.theta.noise_variance, zeta.info_surrogate
+    coords = flat(zeta.theta)[:-1]
+    vals = np.linalg.eigvalsh(A)
+    bound = max(
+        sigma_min * sigma_min - s2,
+        s2 - coord_bound,
+        float(np.max(np.abs(coords), initial=0.0)) - coord_bound,
+        float(np.max(np.abs(A - A.T))),
+        0.0,
+    )
+    return bound, max(s2 - float(vals[0]), float(vals[-1]) - eig_bound, 0.0)
+
+
+class ProjectionGaps(NamedTuple):
+    """``feasibility_gaps`` of a projected state and the Euclidean norms of what
+    projecting it again moves: the parameter vector ``flat`` and the surrogate."""
+
+    bound: float
+    spectrum: float
+    params_move: float
+    surrogate_move: float
+
+
+def projection_gaps(
+    zeta: AugmentedState, sigma_min: float, coord_bound: float, eig_bound: float
+) -> ProjectionGaps:
+    """Feasibility and idempotence of ``project_primal`` at zeta."""
+    once = project_primal(zeta, sigma_min, coord_bound, eig_bound)
+    twice = project_primal(once, sigma_min, coord_bound, eig_bound)
+    return ProjectionGaps(
+        *feasibility_gaps(once, sigma_min, coord_bound, eig_bound),
+        float(np.linalg.norm(flat(twice.theta) - flat(once.theta))),
+        float(np.linalg.norm(twice.info_surrogate - once.info_surrogate)),
+    )
+
+
+def dual_ball_gaps(B: np.ndarray) -> tuple[float, float]:
+    """(Frobenius norm of ``project_dual_ball(B)`` above 1, what projecting it again moves)."""
+    P = project_dual_ball(B)
+    return max(float(np.linalg.norm(P)) - 1.0, 0.0), float(np.linalg.norm(project_dual_ball(P) - P))
+
 
 def self_checks():
     """Yield (name, passed, detail) for the built-in consistency identities."""
     rng = np.random.default_rng(7)
-
-    worst = 0.0
-    for _ in range(20):
-        m, k = int(rng.integers(2, 30)), int(rng.integers(1, 12))
-        V = rng.normal(size=(m, k))
-        b = rng.normal(size=m)
-        lam = float(rng.uniform(0.1, 2.0))
-        lhs, rhs = ridge_identity_check(V, b, lam)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    yield "matrix-determinant ridge identity (20 instances)", worst < 1e-8, (
-        "worst relative error %.2e" % worst
+    dual, minimum = ridge_gaps(rng, 20, 29, 11, (0.1, 2.0))
+    yield "matrix-determinant ridge identity (20 instances)", dual < 1e-8, (
+        "worst relative error %.2e" % dual
     )
 
     fmap = MLPMap(MLPSpec(3, (4, 2)))
@@ -238,88 +556,40 @@ def self_checks():
     X = rng.normal(size=(n, 3))
     y = rng.normal(size=n)
     theta = HyperParams(rng.normal(size=2) * 0.5, params, 0.7)
-
-    total = sum(sample_loss_term(fmap, theta, X[i], y[i], n) for i in range(n))
-    F = sum(sample_info_term(fmap, theta, X[i], n) for i in range(n))
-    err = abs(total + logdet_psd(F) - full_loss(fmap, theta, X, y))
+    err = decomposition_gap(fmap, theta, X, y)
     yield "per-sample loss decomposition", err < 1e-10, "absolute error %.2e" % err
 
-    Z = fmap.forward(params, X).Z
-    w_hat = ridge_closed_form(Z, y, theta.noise_variance)
-    at_min = full_loss(fmap, HyperParams(w_hat, params, theta.noise_variance), X, y)
-    oracle = exact_nll_oracle(fmap, params, theta.noise_variance, X, y)
-    rel = abs(at_min - oracle) / max(abs(oracle), 1.0)
-    yield "ridge minimum equals covariance-form NLL", rel < 1e-8, (
-        "relative error %.2e" % rel
-    )
+    rel = max(minimum, ridge_minimum_gap(fmap, params, theta.noise_variance, X, y))
+    yield "ridge minimum equals covariance-form NLL", rel < 1e-8, "relative error %.2e" % rel
 
     G = rng.normal(size=(2, 2))
-    A = G @ G.T + 1.5 * np.eye(2)
+    zeta = AugmentedState(theta, G @ G.T + 1.5 * np.eye(2))
     B = rng.normal(size=(2, 2)) * 0.3
-    zeta = AugmentedState(theta, A)
-    penalty = 0.8
-
-    def theta_objective(w):
-        z = AugmentedState(HyperParams(w, params, theta.noise_variance), A)
-        return sum(
-            minimax_sample_objective(fmap, z, B, X[i], y[i], n, penalty)
-            for i in range(n)
-        )
-
-    g_theta, _, _ = minimax_batch_grads(fmap, zeta, B, X, y, n, penalty)
-    h = 1e-6
-    rel_worst = 0.0
-    for j in range(theta.weights.shape[0]):
-        w_plus = theta.weights.copy()
-        w_plus[j] += h
-        w_minus = theta.weights.copy()
-        w_minus[j] -= h
-        fd = (theta_objective(w_plus) - theta_objective(w_minus)) / (2 * h)
-        rel_worst = max(rel_worst, abs(g_theta.weights[j] - fd) / max(abs(fd), 1e-8))
-    yield "penalized objective gradient spot check", rel_worst < 1e-4, (
-        "worst relative error %.2e" % rel_worst
+    rel = max(penalized_grad_errors(fmap, zeta, B, X, y, range(n), 0.8).values())
+    yield "penalized objective gradient spot check", rel < 1e-4, (
+        "worst relative error %.2e" % rel
     )
 
-    ok = True
-    for _ in range(200):
-        raw = AugmentedState(
-            HyperParams(
-                rng.normal(size=2) * 10,
-                params,
-                float(rng.uniform(1e-9, 2.0)),
-            ),
-            symmetrize(rng.normal(size=(2, 2)) * 2.0),
-        )
-        proj = project_primal(raw, 1e-2, 1e3, 1e3)
-        again = project_primal(proj, 1e-2, 1e3, 1e3)
-        eigs = np.linalg.eigvalsh(proj.info_surrogate)
-        feas = (
-            proj.theta.noise_variance >= 1e-4 - 1e-12
-            and eigs.min() >= proj.theta.noise_variance - 1e-9
-            and bool(np.all(np.abs(proj.theta.weights) <= 1e3 + 1e-9))
-        )
-        same = (
-            np.linalg.norm(again.theta.weights - proj.theta.weights) < 1e-12
-            and abs(again.theta.noise_variance - proj.theta.noise_variance) < 1e-12
-            and np.linalg.norm(again.info_surrogate - proj.info_surrogate) < 1e-12
-        )
-        Braw = rng.normal(size=(2, 2)) * 3
-        Bp = project_dual_ball(Braw)
-        in_ball = np.linalg.norm(Bp, "fro") <= 1.0 + 1e-12
-        fixed = np.linalg.norm(project_dual_ball(Bp) - Bp) < 1e-12
-        ok = ok and feas and same and in_ball and fixed
-    yield "projection feasibility and idempotence (200 states)", ok, ""
+    def raw_state():
+        raw = HyperParams(rng.normal(size=2) * 10, params, float(rng.uniform(1e-9, 2.0)))
+        return AugmentedState(raw, symmetrize(rng.normal(size=(2, 2)) * 2.0))
 
-    state = scgd_init(fmap, theta, X)
-    full = np.arange(n)
-    s_next = scgd_step(fmap, state, X, y, full, 1e-3, 1.0)
-    b_next = bsgd_step(fmap, theta, X, y, full, 1e-3)
-    gap = (
-        np.linalg.norm(s_next.theta.weights - b_next.weights)
-        + np.linalg.norm(s_next.theta.feature_params.flat - b_next.feature_params.flat)
-        + abs(s_next.theta.noise_variance - b_next.noise_variance)
+    bound, spectrum, params_move, surrogate_move, excess, dual_move = np.max(
+        [
+            projection_gaps(raw_state(), 1e-2, 1e3, 1e3) + dual_ball_gaps(rng.normal(size=(2, 2)) * 3)
+            for _ in range(200)
+        ],
+        axis=0,
     )
-    yield "full-batch optimizer coincidence", gap < 1e-12, "parameter gap %.2e" % gap
+    ok = bound == 0.0 and spectrum <= 1e-9 and excess <= 1e-12
+    ok = ok and max(params_move, surrogate_move, dual_move) < 1e-12
+    yield "projection feasibility and idempotence (200 states)", ok, (
+        "worst eigenvalue excess %.1e, worst re-projection move %.1e"
+        % (spectrum, max(params_move, surrogate_move, dual_move))
+    )
+
+    gap = coincidence_gap(fmap, theta, X, y, 1e-3)
+    yield "full-batch optimizer coincidence", gap < 1e-12, "direction gap %.2e" % gap
 
     # maps first: in a fresh process they draw before scipy.stats has loaded
     draws = ((1, 1, 0), (3, 5, 1), (16, 500, 2), (20, 256, 3))

@@ -8,7 +8,6 @@ random-feature coverage at width 1000); they run the honest measurement
 and fail with the numbers rather than being skipped or loosened.
 """
 
-import itertools
 import math
 import time
 import tracemalloc
@@ -16,14 +15,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fdcheck import fd_grad, fd_grad_matrix, fd_grad_matrix_sym
+from instances import feasible_surrogate, instance
 from stochgp.features import LinearMap, MLPMap, MLPSpec, rff_init
 from stochgp.harness import ExperimentConfig, SynthSpec, grid_search
-from stochgp.objective import HyperParams, info_matrix
+from stochgp.objective import HyperParams
 from stochgp.optim import (
     AugmentedState,
     MinimaxConfig,
-    bsgd_step,
     minimax_init,
     minimax_step,
     project_dual_ball,
@@ -32,15 +30,17 @@ from stochgp.optim import (
     scgd_step,
 )
 from stochgp.oracles import (
-    exact_nll_oracle,
-    full_loss,
-    logdet_psd,
-    minimax_batch_grads,
-    minimax_sample_objective,
-    ridge_closed_form,
-    ridge_identity_check,
-    sample_info_term,
-    sample_loss_term,
+    backward_error,
+    baseline_bias,
+    bsgd_grad_error,
+    coincidence_gap,
+    dual_ball_gaps,
+    enumeration_gaps,
+    feasibility_gaps,
+    penalized_grad_errors,
+    projection_gaps,
+    ridge_gaps,
+    scgd_grad_error,
 )
 
 
@@ -50,56 +50,11 @@ def _report(ok, label, detail):
     return line
 
 
-def _max_rel(analytic, numeric, floor=1e-8):
-    a = np.asarray(analytic, dtype=np.float64).ravel()
-    b = np.asarray(numeric, dtype=np.float64).ravel()
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), floor)))
-
-
-def _mlp_instance(seed, n, p, hidden, d, sigma2, w_scale=0.5):
-    rng = np.random.default_rng(seed)
-    fmap = MLPMap(MLPSpec(p, (hidden, d)))
-    theta = HyperParams(w_scale * rng.normal(size=d), fmap.init_params(seed + 1), sigma2)
-    X = rng.normal(size=(n, p))
-    y = rng.normal(size=n)
-    return fmap, theta, X, y
-
-
-def _direction(theta_before, theta_after, a_t):
-    return np.concatenate(
-        [
-            (theta_before.weights - theta_after.weights) / a_t,
-            (theta_before.feature_params.flat - theta_after.feature_params.flat) / a_t,
-            [(theta_before.noise_variance - theta_after.noise_variance) / a_t],
-        ]
-    )
-
-
 def test_01_ridge_and_kernel_forms_agree():
     # dual/primal ridge identity plus the d x d vs n x n objective identity,
     # 200 random instances spanning three decades of regularizer
     t0 = time.perf_counter()
-    rng = np.random.default_rng(20260816)
-    worst_ridge = 0.0
-    worst_nll = 0.0
-    for _ in range(200):
-        n = int(rng.integers(1, 201))
-        d = int(rng.integers(1, 51))
-        lam = float(10.0 ** rng.uniform(-3.0, 2.0))
-        V = rng.normal(size=(n, d))
-        b = rng.normal(size=n)
-
-        lhs, rhs = ridge_identity_check(V, b, lam)
-        worst_ridge = max(worst_ridge, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-
-        fmap = LinearMap(d)
-        w_hat = ridge_closed_form(V, b, lam)
-        theta = HyperParams(w_hat, fmap.init_params(0), lam)
-        ridge_min = full_loss(fmap, theta, V, b)
-        kernel = exact_nll_oracle(fmap, theta.feature_params, lam, V, b)
-        worst_nll = max(worst_nll, abs(ridge_min - kernel) / max(1.0, abs(kernel)))
+    worst_ridge, worst_nll = ridge_gaps(np.random.default_rng(20260816), 200, 200, 50, (1e-3, 1e2))
     elapsed = time.perf_counter() - t0
     ok = worst_ridge <= 1e-8 and worst_nll <= 1e-8 and elapsed < 10.0
     line = _report(
@@ -116,91 +71,21 @@ def test_02_analytic_gradients_match_finite_differences():
     # instance: penalized-objective blocks, tracker-linearized batch loss,
     # plain batch loss, and both parameterized feature-map backwards
     t0 = time.perf_counter()
-    fmap, theta, X, y = _mlp_instance(9, n=5, p=2, hidden=4, d=3, sigma2=0.7)
+    fmap, theta, X, y = instance(9, n=5, hidden=4, d=3, sigma2=0.7)
     rng = np.random.default_rng(10)
-    G = rng.normal(size=(3, 3))
-    A = G @ G.T + (theta.noise_variance + 1.0) * np.eye(3)
+    A = feasible_surrogate(rng, 3, theta.noise_variance)
     B = 0.4 * rng.normal(size=(3, 3))
-    mu = 1.3
-    n = X.shape[0]
-    d = fmap.output_dim
-    m = theta.feature_params.n_params
     idx = [0, 2, 4]
-    rels = {}
-
-    # penalized objective: parameter blocks, surrogate block, dual block
-    zeta = AugmentedState(theta, A)
-    g_theta, g_A, g_B = minimax_batch_grads(fmap, zeta, B, X[idx], y[idx], n, mu)
-    scale = n / len(idx)
-
-    def penalized_of_theta(v):
-        th = HyperParams(v[:d], theta.feature_params.with_flat(v[d : d + m]), float(v[-1]))
-        z = AugmentedState(th, A)
-        return scale * sum(
-            minimax_sample_objective(fmap, z, B, X[i], y[i], n, mu) for i in idx
-        )
-
-    def penalized_of_A(A_):
-        z = AugmentedState(theta, A_)
-        return scale * sum(
-            minimax_sample_objective(fmap, z, B, X[i], y[i], n, mu) for i in idx
-        )
-
-    def penalized_of_B(B_):
-        return scale * sum(
-            minimax_sample_objective(fmap, zeta, B_, X[i], y[i], n, mu) for i in idx
-        )
-
-    flat0 = np.concatenate([theta.weights, theta.feature_params.flat, [theta.noise_variance]])
-    analytic = np.concatenate([g_theta.weights, g_theta.feature_params, [g_theta.noise_variance]])
-    rels["penalized theta"] = _max_rel(analytic, fd_grad(penalized_of_theta, flat0))
-    rels["penalized surrogate"] = _max_rel(g_A, fd_grad_matrix_sym(penalized_of_A, A))
-    rels["penalized dual"] = _max_rel(g_B, fd_grad_matrix(penalized_of_B, B))
-
-    # tracker-linearized batch loss: the parameter step must be its gradient
-    state = scgd_init(fmap, theta, X)
-    M0 = np.linalg.inv(state.tracked_info)
-    a = 1e-4
-    out = scgd_step(fmap, state, X, y, np.array(idx), a_t=a, b_t=0.5)
-
-    def linearized_loss(v):
-        th = HyperParams(v[:d], theta.feature_params.with_flat(v[d : d + m]), float(v[-1]))
-        return sum(
-            sample_loss_term(fmap, th, X[i], y[i], n)
-            + float(np.sum(M0 * sample_info_term(fmap, th, X[i], n)))
-            for i in idx
-        )
-
-    rels["linearized batch loss"] = _max_rel(
-        _direction(theta, out.theta, a), fd_grad(linearized_loss, flat0)
-    )
-
-    # plain batch-restricted loss for the biased baseline
-    out_b = bsgd_step(fmap, theta, X, y, np.array(idx), a_t=a)
-
-    def batch_loss(v):
-        th = HyperParams(v[:d], theta.feature_params.with_flat(v[d : d + m]), float(v[-1]))
-        g = sum(sample_loss_term(fmap, th, X[i], y[i], n) for i in idx)
-        F = sum(sample_info_term(fmap, th, X[i], n) for i in idx)
-        return g + logdet_psd(F)
-
-    rels["batch loss"] = _max_rel(_direction(theta, out_b, a), fd_grad(batch_loss, flat0))
-
-    # feature-map backwards through a fixed random upstream contraction
+    rels = penalized_grad_errors(fmap, AugmentedState(theta, A), B, X, y, idx, 1.3)
+    rels["linearized batch loss"] = scgd_grad_error(fmap, scgd_init(fmap, theta, X), X, y, idx)
+    rels["batch loss"] = bsgd_grad_error(fmap, theta, X, y, idx)
     for name, fm in (
         ("mlp backward", fmap),
         ("rff backward", rff_init(q=2, D=8, u1=0.9, u2=1.1, seed=4)),
     ):
-        params = fm.init_params(3)
         Xi = np.random.default_rng(5).normal(size=(4, fm.input_dim))
         W_up = np.random.default_rng(6).normal(size=(4, fm.output_dim))
-        fb = fm.forward(params, Xi)
-        analytic = fm.backward(params, fb, W_up)
-
-        def contraction(flat, fm=fm, params=params, Xi=Xi, W_up=W_up):
-            return float(np.sum(fm.forward(params.with_flat(flat), Xi).Z * W_up))
-
-        rels[name] = _max_rel(analytic, fd_grad(contraction, params.flat))
+        rels[name] = backward_error(fm, fm.init_params(3), Xi, W_up)
 
     elapsed = time.perf_counter() - t0
     worst = max(rels.values())
@@ -219,42 +104,13 @@ def test_03_batch_average_unbiasedness_and_baseline_bias():
     # instance recovers the full gradient exactly for the penalized objective,
     # in both batching modes; the same average for the biased baseline does not
     t0 = time.perf_counter()
-    fmap, theta, X, y = _mlp_instance(11, n=4, p=2, hidden=3, d=2, sigma2=0.6)
+    fmap, theta, X, y = instance(11, n=4)
     rng = np.random.default_rng(12)
-    G = rng.normal(size=(2, 2))
-    A = G @ G.T + (theta.noise_variance + 1.0) * np.eye(2)
+    A = feasible_surrogate(rng, 2, theta.noise_variance)
     B = 0.3 * rng.normal(size=(2, 2))
-    mu = 1.1
-    zeta = AugmentedState(theta, A)
-
-    def flatten(g):
-        return np.concatenate(
-            [g[0].weights, g[0].feature_params, [g[0].noise_variance], g[1].ravel(), g[2].ravel()]
-        )
-
-    full = flatten(minimax_batch_grads(fmap, zeta, B, X, y, 4, mu))
-    gaps = []
-    for batches in (
-        list(itertools.product(range(4), repeat=2)),  # ordered, with replacement
-        list(itertools.combinations(range(4), 2)),  # unordered, without replacement
-    ):
-        acc = np.zeros_like(full)
-        for pair in batches:
-            idx = list(pair)
-            acc += flatten(minimax_batch_grads(fmap, zeta, B, X[idx], y[idx], 4, mu))
-        mean = acc / len(batches)
-        gaps.append(float(np.max(np.abs(mean - full)) / max(1.0, float(np.max(np.abs(full))))))
-
+    gaps = enumeration_gaps(fmap, AugmentedState(theta, A), B, X, y, 2, 1.1)
     # biased baseline on a proven instance: enumerate the same ordered batches
-    fmap_b, theta_b, X_b, y_b = _mlp_instance(37, n=4, p=2, hidden=3, d=2, sigma2=0.6)
-    a = 1e-6
-    M_full = np.linalg.inv(info_matrix(fmap_b, theta_b, X_b))
-    out_full = bsgd_step(fmap_b, theta_b, X_b, y_b, np.arange(4), a_t=a)
-    dirs = [
-        _direction(theta_b, bsgd_step(fmap_b, theta_b, X_b, y_b, np.array(pair), a_t=a), a)
-        for pair in itertools.product(range(4), repeat=2)
-    ]
-    bias = float(np.linalg.norm(np.mean(dirs, axis=0) - _direction(theta_b, out_full, a)))
+    bias = baseline_bias(*instance(37, n=4), 2)
 
     elapsed = time.perf_counter() - t0
     ok = gaps[0] <= 1e-10 and gaps[1] <= 1e-10 and bias > 1e-6 and elapsed < 5.0
@@ -272,18 +128,7 @@ def test_04_full_batch_coincidence():
     # with the tracker pinned at the exact information matrix, unit averaging
     # weight, and the whole dataset as the batch, the compositional update and
     # the plain batch update are the same rule
-    worst = 0.0
-    a = 1e-3
-    for seed in range(5):
-        fmap, theta, X, y = _mlp_instance(60 + seed, n=9, p=2, hidden=3, d=2, sigma2=0.6)
-        n = X.shape[0]
-        state = scgd_init(fmap, theta, X)
-        out_s = scgd_step(fmap, state, X, y, np.arange(n), a_t=a, b_t=1.0)
-        out_b = bsgd_step(fmap, theta, X, y, np.arange(n), a_t=a)
-        dir_s = _direction(theta, out_s.theta, a)
-        dir_b = _direction(theta, out_b, a)
-        gap = float(np.max(np.abs(dir_s - dir_b)) / max(1.0, float(np.max(np.abs(dir_b)))))
-        worst = max(worst, gap)
+    worst = max(coincidence_gap(*instance(60 + seed, n=9), 1e-3) for seed in range(5))
     ok = worst <= 1e-12
     line = _report(
         ok,
@@ -362,9 +207,9 @@ def test_06_projection_and_feasibility_suite():
     # every state an optimizer step produces is feasible
     t0 = time.perf_counter()
     rng = np.random.default_rng(77)
-    fmap = MLPMap(MLPSpec(2, (3, 4)))
+    params = MLPMap(MLPSpec(2, (3, 4))).init_params(0)
     d = 4
-    n_flat = fmap.init_params(0).flat.size
+    n_flat = params.n_params
     sig_min, coord, eig = 3e-2, 10.0, 25.0
 
     def random_state():
@@ -374,32 +219,11 @@ def test_06_projection_and_feasibility_suite():
         s2 = float(10.0 ** rng.uniform(-5.0, 1.8))
         G = rng.normal(size=(d, d)) * float(rng.choice([0.3, 8.0]))
         A = G + G.T + float(rng.choice([-2.0, 0.0, 6.0])) * np.eye(d)
-        return AugmentedState(HyperParams(w, fmap.init_params(0).with_flat(flat), s2), A)
+        return AugmentedState(HyperParams(w, params.with_flat(flat), s2), A)
 
-    def check_feasible(zeta, tol=1e-8):
-        s2 = zeta.theta.noise_variance
-        assert sig_min**2 - 1e-15 <= s2 <= coord + 1e-15
-        assert np.all(np.abs(zeta.theta.weights) <= coord + tol)
-        assert np.all(np.abs(zeta.theta.feature_params.flat) <= coord + tol)
-        A = zeta.info_surrogate
-        assert np.array_equal(A, A.T)
-        vals = np.linalg.eigvalsh(A)
-        assert vals[0] >= s2 - tol
-        assert vals[-1] <= eig + tol
-
-    for _ in range(1000):
-        z = random_state()
-        p1 = project_primal(z, sig_min, coord, eig)
-        check_feasible(p1)
-        p2 = project_primal(p1, sig_min, coord, eig)
-        assert abs(p2.theta.noise_variance - p1.theta.noise_variance) <= 1e-12 * (
-            1.0 + p1.theta.noise_variance
-        )
-        assert np.max(np.abs(p2.theta.weights - p1.theta.weights)) <= 1e-11
-        assert np.max(np.abs(p2.theta.feature_params.flat - p1.theta.feature_params.flat)) <= 1e-11
-        assert np.max(np.abs(p2.info_surrogate - p1.info_surrogate)) <= 1e-11 * (
-            1.0 + float(np.linalg.norm(p1.info_surrogate))
-        )
+    gaps = np.max([projection_gaps(random_state(), sig_min, coord, eig) for _ in range(1000)], axis=0)
+    assert gaps[0] == 0.0 and gaps[1] <= 1e-8, gaps  # bounds and symmetry exact, spectrum
+    assert gaps[2] <= 1e-12 and gaps[3] <= 1e-11, gaps  # re-projection moves nothing
 
     # stage-wise non-expansiveness on pairs: noise clamp, coordinate clip,
     # eigenvalue clamp at a shared noise level, and the dual radial projection
@@ -428,15 +252,14 @@ def test_06_projection_and_feasibility_suite():
 
         B1 = rng.normal(size=(d, d)) * float(rng.choice([0.2, 3.0]))
         B2 = rng.normal(size=(d, d)) * float(rng.choice([0.2, 3.0]))
+        assert max(dual_ball_gaps(B1)) <= 1e-12
         q1, q2 = project_dual_ball(B1), project_dual_ball(B2)
-        assert float(np.linalg.norm(q1)) <= 1.0 + 1e-12
         assert float(np.linalg.norm(q1 - q2)) <= float(np.linalg.norm(B1 - B2)) + 1e-12
-        assert np.max(np.abs(project_dual_ball(q1) - q1)) <= 1e-12
 
     # post-step feasibility along short optimizer trajectories
     steps = 0
     for chain in range(30):
-        fm, theta, X, y = _mlp_instance(200 + chain, n=12, p=2, hidden=2, d=3, sigma2=0.5)
+        fm, theta, X, y = instance(200 + chain, n=12, hidden=2, d=3, sigma2=0.5)
         cfg = MinimaxConfig(
             primal_rate=float(10.0 ** rng.uniform(-4.0, -1.0)),
             dual_rate=float(10.0 ** rng.uniform(-2.0, 0.0)),
@@ -450,12 +273,8 @@ def test_06_projection_and_feasibility_suite():
         for _ in range(5):
             idx = rng.integers(0, 12, size=4)
             zeta, dual = minimax_step(fm, zeta, dual, X, y, idx, idx, cfg)
-            s2 = zeta.theta.noise_variance
-            assert sig_min**2 - 1e-15 <= s2 <= coord + 1e-15
-            assert np.all(np.abs(zeta.theta.weights) <= coord + 1e-8)
-            assert np.all(np.abs(zeta.theta.feature_params.flat) <= coord + 1e-8)
-            vals = np.linalg.eigvalsh(zeta.info_surrogate)
-            assert vals[0] >= s2 - 1e-8 and vals[-1] <= eig + 1e-8
+            bound, spectrum = feasibility_gaps(zeta, sig_min, coord, eig)
+            assert bound == 0.0 and spectrum <= 1e-8
             assert float(np.linalg.norm(dual)) <= 1.0 + 1e-12
             steps += 1
 

@@ -237,7 +237,7 @@ def csv_table(draw):
 
 
 class TestLoadCsvProperty:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(table=csv_table(), by_name=st.booleans(), data=st.data())
     def test_matches_per_cell_float_or_raises_the_old_message(
         self, tmp_path_factory, table, by_name, data

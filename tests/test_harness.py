@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -208,7 +209,7 @@ class TestDrawEpoch:
         for x, y in zip(a, b, strict=True):
             assert np.array_equal(x, y)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         n=st.integers(1, 300),
         s=st.integers(1, 400),
@@ -401,6 +402,30 @@ class TestRunExperiment:
         assert rec.diverge_reason == "FloatingPointError: overflow encountered in matmul"
         assert (rec.diverge_epoch, rec.diverge_step) == (1, 4)
 
+    @pytest.mark.parametrize("rate", [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+    def test_bsgd_blow_up_names_the_swamped_shift(self, rate):
+        # bsgd inverts Z^T Z + (s s2/n) I; once the parameters grow, rounding
+        # of order eps max|Z|^2 swamps that shift and the factorization fails
+        cfg = ExperimentConfig(
+            synth=SynthSpec(n=60, p=2, d=2, sigma2=0.5, seed=0),
+            feature_map="mlp",
+            mlp_hidden=3,
+            mlp_out=3,
+            batch_size=8,
+            optimizer="bsgd",
+            learning_rate=rate,
+            epochs=3,
+        )
+        reason = run_experiment(cfg).diverge_reason
+        found = re.fullmatch(
+            r"NotPositiveDefiniteError: batch information matrix: not positive definite"
+            r" \(failing pivot \d\); largest \|feature\| (\S+), diagonal shift s\*s2/n (\S+)",
+            reason,
+        )
+        assert found, reason
+        feature, shift = map(float, found.groups())
+        assert np.finfo(np.float64).eps * feature * feature > shift
+
     def test_diverge_reason_for_non_finite_nll(self, monkeypatch):
         monkeypatch.setattr(_Evaluator, "nll", lambda self, theta: (math.nan, 0.0))
         rec = run_experiment(_small_cfg())
@@ -591,7 +616,7 @@ class TestNllNormalization:
         expected = (raw + n * math.log(2 * math.pi)) / (2 * n)
         assert rec.epochs[0]["nll"] == pytest.approx(expected, rel=1e-12)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         mlp=st.booleans(),
         n=st.integers(1, 30),
@@ -650,7 +675,7 @@ class TestBlockedPasses:
         small, large = self._peak_bytes(2048), self._peak_bytes(16384)
         assert large <= 1.3 * small, (small, large)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         kind=st.sampled_from(["linear", "mlp", "mlp+rff"]),
         rows=st.integers(1, 8),

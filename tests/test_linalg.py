@@ -15,7 +15,7 @@ from stochgp._linalg import _syrk, chol_lower, chol_solve, frobenius, gram, tri_
 
 
 class TestGram:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         s=st.integers(1, 12),
         d=st.integers(1, 12),
@@ -38,7 +38,7 @@ class TestGram:
         unshifted[np.diag_indices(d)] += shift
         assert np.array_equal(G, unshifted)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         s=st.integers(1, 300),
         d=st.integers(1, 40),
@@ -85,7 +85,7 @@ class TestGram:
 
 
 class TestLapackBuild:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         d=st.integers(1, 12),
         rows=st.integers(1, 12),

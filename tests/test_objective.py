@@ -1,32 +1,40 @@
 """Loss terms, exact oracles, and the linearized-gradient kernel."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from fdcheck import assert_grad_close, complex_step_grad, fd_grad
+from instances import instance
 from stochgp._linalg import NotPositiveDefiniteError
 from stochgp.features import LinearMap, MLPMap, MLPSpec
 from stochgp.objective import HyperParams, ThetaGrad, info_matrix
 from stochgp.oracles import (
+    decomposition_gap,
     exact_nll_oracle,
+    flat,
     full_loss,
     grad_theta_of_linearized,
+    linearized_grad_error,
     logdet_psd,
+    max_rel_error,
     ridge_closed_form,
+    ridge_gaps,
     ridge_identity_check,
+    ridge_minimum_gap,
     sample_info_term,
     sample_loss_term,
 )
 
-
-def mlp_instance(seed, n=20, p=3, hidden=4, d=2, sigma2=0.6):
-    rng = np.random.default_rng(seed)
-    fmap = MLPMap(MLPSpec(p, (hidden, d)))
-    params = fmap.init_params(seed=seed + 1)
-    theta = HyperParams(rng.normal(size=d) * 0.5, params, sigma2)
-    X = rng.normal(size=(n, p))
-    y = rng.normal(size=n)
-    return fmap, theta, X, y
+# a drawn instance: a map of each kind on three inputs (MLP 3 -> 4 -> d inside),
+# a parameter point on it and n rows
+drawn = dict(
+    kind=st.sampled_from(["linear", "mlp", "mlp+rff"]),
+    n=st.integers(1, 30),
+    d=st.integers(1, 4),
+    sigma2=st.floats(0.2, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
 
 
 def zero_feature_instance(n=6, p=2, d=3, sigma2=0.7, seed=0):
@@ -74,7 +82,7 @@ class TestSampleLossTerm:
         assert val == pytest.approx(np.sum(w**2) / 2.0)
 
     def test_term_wise_recomputation(self):
-        fmap, theta, X, y = mlp_instance(3)
+        fmap, theta, X, y = instance(3, 20, p=3, hidden=4)
         n = X.shape[0]
         d = fmap.output_dim
         i = 7
@@ -108,7 +116,7 @@ class TestSampleInfoTerm:
         np.testing.assert_allclose(F, 0.9 / 6 * np.eye(3))
 
     def test_sum_assembles_information_matrix(self):
-        fmap, theta, X, _ = mlp_instance(4)
+        fmap, theta, X, _ = instance(4, 20, p=3, hidden=4)
         n = X.shape[0]
         total = sum(sample_info_term(fmap, theta, X[i], n) for i in range(n))
         np.testing.assert_allclose(total, info_matrix(fmap, theta, X), atol=1e-10)
@@ -140,24 +148,11 @@ class TestFullLoss:
         expect = float(y @ y) / 0.7 + 6 * np.log(0.7)
         assert full_loss(fmap, theta, X, y) == pytest.approx(expect, rel=1e-12)
 
-    def test_decomposes_into_sample_terms(self):
-        for seed in range(4):
-            fmap, theta, X, y = mlp_instance(seed, sigma2=0.4 + 0.3 * seed)
-            n = X.shape[0]
-            g = sum(sample_loss_term(fmap, theta, X[i], y[i], n) for i in range(n))
-            F = sum(sample_info_term(fmap, theta, X[i], n) for i in range(n))
-            total = g + logdet_psd(F)
-            assert full_loss(fmap, theta, X, y) == pytest.approx(total, abs=1e-10, rel=1e-10)
-
-    def test_at_ridge_minimizer_equals_kernel_oracle(self):
-        for seed in range(4):
-            fmap, theta, X, y = mlp_instance(seed + 20, n=25, d=3)
-            Z = fmap.forward(theta.feature_params, X).Z
-            w_hat = ridge_closed_form(Z, y, theta.noise_variance)
-            theta_hat = HyperParams(w_hat, theta.feature_params, theta.noise_variance)
-            lhs = full_loss(fmap, theta_hat, X, y)
-            rhs = exact_nll_oracle(fmap, theta.feature_params, theta.noise_variance, X, y)
-            assert lhs == pytest.approx(rhs, rel=1e-8)
+    @settings(max_examples=40)
+    @given(**drawn)
+    def test_decomposes_into_sample_terms(self, kind, n, d, sigma2, seed):
+        fmap, theta, X, y = instance(seed, n, kind, p=3, hidden=4, d=d, sigma2=sigma2)
+        assert decomposition_gap(fmap, theta, X, y) <= 1e-10
 
 
 class TestRidgeClosedForm:
@@ -193,21 +188,15 @@ class TestExactNllOracle:
         expect = yv**2 / (z**2 + s2) + np.log(z**2 + s2)
         assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_equals_ridge_minimum_of_full_loss(self):
+    @settings(max_examples=40)
+    @given(**drawn)
+    @example(kind="mlp", n=25, d=3, sigma2=0.6, seed=20)
+    @example(kind="mlp", n=30, d=4, sigma2=0.25, seed=40)
+    def test_equals_ridge_minimum_of_full_loss(self, kind, n, d, sigma2, seed):
         # the central reformulation: min over weights of the ridge-form loss
         # lands exactly on the kernel-space value
-        for seed in range(6):
-            fmap, theta, X, y = mlp_instance(seed + 40, n=30, d=4, sigma2=0.25 + 0.2 * seed)
-            Z = fmap.forward(theta.feature_params, X).Z
-            w_hat = ridge_closed_form(Z, y, theta.noise_variance)
-            best = full_loss(
-                fmap, HyperParams(w_hat, theta.feature_params, theta.noise_variance), X, y
-            )
-            oracle = exact_nll_oracle(fmap, theta.feature_params, theta.noise_variance, X, y)
-            assert best == pytest.approx(oracle, rel=1e-8)
-            # any other w does worse
-            other = HyperParams(w_hat + 0.1, theta.feature_params, theta.noise_variance)
-            assert full_loss(fmap, other, X, y) > best
+        fmap, theta, X, y = instance(seed, n, kind, p=3, hidden=4, d=d, sigma2=sigma2)
+        assert ridge_minimum_gap(fmap, theta.feature_params, sigma2, X, y) <= 1e-8
 
 
 class TestRidgeIdentityCheck:
@@ -222,14 +211,11 @@ class TestRidgeIdentityCheck:
         assert lhs == pytest.approx(0.5)
         assert rhs == pytest.approx(0.5)
 
-    def test_random_rectangular(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            V = rng.normal(size=(20, 7))
-            b = rng.normal(size=20)
-            lam = float(rng.uniform(0.05, 3.0))
-            lhs, rhs = ridge_identity_check(V, b, lam)
-            assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_rectangular(self, seed):
+        dual, _ = ridge_gaps(np.random.default_rng(seed), 1, 30, 12, (0.05, 3.0))
+        assert dual <= 5e-10
 
 
 class TestSylvesterConsistency:
@@ -241,29 +227,6 @@ class TestSylvesterConsistency:
             lhs = logdet_psd(Z @ Z.T + s2 * np.eye(n))
             rhs = logdet_psd(Z.T @ Z + s2 * np.eye(d)) + (n - d) * np.log(s2)
             assert lhs == pytest.approx(rhs, rel=1e-8)
-
-
-def linearized_scalar(fmap, theta_template, X, y, M, n_total, idx):
-    """Forward-only recomputation of the batch objective as a flat function."""
-    d = fmap.output_dim
-
-    def f(v):
-        theta = HyperParams(
-            v[:d], theta_template.feature_params.with_flat(v[d:-1]), float(v[-1])
-        )
-        total = 0.0
-        for i in idx:
-            total += sample_loss_term(fmap, theta, X[i], y[i], n_total)
-            total += float(np.sum(M * sample_info_term(fmap, theta, X[i], n_total)))
-        return total
-
-    return f
-
-
-def flat_theta(theta):
-    return np.concatenate(
-        [theta.weights, theta.feature_params.flat, [theta.noise_variance]]
-    )
 
 
 class TestGradThetaOfLinearized:
@@ -281,46 +244,35 @@ class TestGradThetaOfLinearized:
         assert g.noise_variance == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_finite_differences(self):
-        fmap, theta, X, y = mlp_instance(51, n=9, d=2, sigma2=0.5)
+        fmap, theta, X, y = instance(51, 9, p=3, hidden=4, sigma2=0.5)
         rng = np.random.default_rng(52)
         Msym = rng.normal(size=(2, 2))
         Msym = Msym + Msym.T
         idx = [0, 3, 5, 8]
-        g = grad_theta_of_linearized(fmap, theta, X[idx], y[idx], Msym, n_total=9)
-        analytic = np.concatenate([g.weights, g.feature_params, [g.noise_variance]])
-        numeric = fd_grad(
-            linearized_scalar(fmap, theta, X, y, Msym, 9, idx), flat_theta(theta)
-        )
-        assert_grad_close(analytic, numeric, rtol=1e-5, label="linearized grad")
+        assert linearized_grad_error(fmap, theta, X, y, idx, Msym) < 1e-5
 
     def test_asymmetric_weight_matrix(self):
         # the inner product <M, F_i> is linear in M, so the gradient must stay
         # correct when M is not symmetric
-        fmap, theta, X, y = mlp_instance(53, n=6, d=2)
+        fmap, theta, X, y = instance(53, 6, p=3, hidden=4)
         M = np.array([[0.3, 1.1], [-0.4, 0.2]])
         idx = [1, 2, 4]
-        g = grad_theta_of_linearized(fmap, theta, X[idx], y[idx], M, n_total=6)
-        analytic = np.concatenate([g.weights, g.feature_params, [g.noise_variance]])
-        numeric = fd_grad(
-            linearized_scalar(fmap, theta, X, y, M, 6, idx), flat_theta(theta)
-        )
-        assert_grad_close(analytic, numeric, rtol=1e-5, label="asymmetric M grad")
+        assert linearized_grad_error(fmap, theta, X, y, idx, M) < 1e-5
 
     def test_wrong_m_shape_rejected(self):
-        fmap, theta, X, y = mlp_instance(54)
+        fmap, theta, X, y = instance(54, 20, p=3, hidden=4)
         with pytest.raises(ValueError, match="M must be"):
             grad_theta_of_linearized(fmap, theta, X, y, np.eye(5), n_total=20)
 
     def test_full_batch_with_inverse_info_is_whole_loss_gradient(self):
         # complex-step differentiation of a straight-line reimplementation of
         # the loss; exact to machine precision, so the comparison can be tight
-        fmap, theta, X, y = mlp_instance(55, n=12, p=2, hidden=3, d=2, sigma2=0.8)
+        fmap, theta, X, y = instance(55, 12, sigma2=0.8)
         n, p = X.shape
         h_dim, d = 3, 2
         F = info_matrix(fmap, theta, X)
         M = np.linalg.inv(F)
-        g = grad_theta_of_linearized(fmap, theta, X, y, M, n_total=n)
-        analytic = np.concatenate([g.weights, g.feature_params, [g.noise_variance]])
+        analytic = flat(grad_theta_of_linearized(fmap, theta, X, y, M, n_total=n))
 
         def loss(v):
             w = v[:d]
@@ -344,9 +296,10 @@ class TestGradThetaOfLinearized:
                 + (n - d) * np.log(s2)
             )
 
-        v0 = flat_theta(theta)
+        v0 = flat(theta)
         assert loss(v0.astype(np.complex128)).real == pytest.approx(
             full_loss(fmap, theta, X, y), rel=1e-12
         )
-        numeric = complex_step_grad(loss, v0)
-        assert_grad_close(analytic, numeric, rtol=1e-8, label="whole-loss grad")
+        # complex-step derivative: f(v + ih e_k) = f(v) + ih f'_k + O(h^2)
+        numeric = np.array([loss(v0 + 1e-20j * e).imag / 1e-20 for e in np.eye(v0.size)])
+        assert max_rel_error(analytic, numeric, 1e-8) < 1e-8
