@@ -154,6 +154,11 @@ class TestFullLoss:
         fmap, theta, X, y = instance(seed, n, kind, p=3, hidden=4, d=d, sigma2=sigma2)
         assert decomposition_gap(fmap, theta, X, y) <= 1e-10
 
+    def test_at_ridge_minimizer_equals_kernel_oracle(self):
+        for seed in range(20, 24):
+            fmap, theta, X, y = instance(seed, 25, p=3, hidden=4, d=3)
+            assert ridge_minimum_gap(fmap, theta.feature_params, theta.noise_variance, X, y) <= 1e-8
+
 
 class TestRidgeClosedForm:
     def test_zero_design(self):

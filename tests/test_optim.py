@@ -26,6 +26,7 @@ from stochgp.optim import (
     schedule_at,
 )
 from stochgp.oracles import (
+    baseline_bias,
     bsgd_grad_error,
     coincidence_gap,
     dual_ball_gaps,
@@ -37,6 +38,7 @@ from stochgp.oracles import (
     logdet_psd,
     minimax_batch_grads,
     minimax_sample_objective,
+    penalized_grad_errors,
     projection_gaps,
     sample_info_term,
     sample_loss_term,
@@ -63,6 +65,10 @@ class TestSchedule:
     @given(a0=st.floats(1e-6, 1e6), b0=st.floats(1e-6, 1.0), t=st.integers(1, 10**9))
     def test_constant(self, a0, b0, t):
         assert schedule_at(Schedule("constant", a0, b0), t) == (a0, b0)
+
+    def test_polynomial_clamps_averaging_weight(self):
+        _, b = schedule_at(Schedule("polynomial", 1.0, 2.0), 1)
+        assert b == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
@@ -146,6 +152,22 @@ class TestMinimaxBatchGrads:
             fmap, theta, X[idx], y[idx], np.zeros((2, 2)), n
         ).scaled(n / 2)
         np.testing.assert_allclose(flat(g_theta), flat(plain), rtol=1e-12)
+
+    def test_matches_finite_differences_all_blocks(self):
+        fmap, theta, X, y = instance(9, n=5, hidden=4, d=3, sigma2=0.7)
+        rng = np.random.default_rng(10)
+        A = feasible_surrogate(rng, 3, theta.noise_variance)
+        B = 0.4 * rng.normal(size=(3, 3))
+        rels = penalized_grad_errors(fmap, AugmentedState(theta, A), B, X, y, [1, 3], 1.3)
+        assert max(rels.values()) < 1e-5, rels
+
+    def test_enumeration_unbiasedness(self):
+        fmap, theta, X, y = instance(11, n=4)
+        rng = np.random.default_rng(12)
+        A = feasible_surrogate(rng, 2, theta.noise_variance)
+        B = 0.3 * rng.normal(size=(2, 2))
+        gaps = enumeration_gaps(fmap, AugmentedState(theta, A), B, X, y, 2, 1.1)
+        assert max(gaps) <= 1e-10
 
 
 class TestProjectDualBall:
@@ -566,6 +588,9 @@ class TestBSGD:
     def test_matches_finite_differences_of_batch_loss(self):
         assert bsgd_grad_error(*instance(36, n=7), [0, 2, 5], a_t=1e-5) < 1e-5
 
+    def test_small_batch_bias_by_enumeration(self):
+        assert baseline_bias(*instance(37, n=4), 2) > 1e-6
+
     def test_empty_batch_rejected(self):
         fmap, theta, X, y = instance(38, n=5)
         with pytest.raises(ValueError, match="non-empty"):
@@ -580,6 +605,11 @@ class TestBSGD:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             bsgd_step(fmap, theta, X, y, np.array([0, 1]), a_t=1e-3)
         assert str(exc.value).startswith("batch information matrix: not positive definite")
+
+
+class TestOptimizerCoincidence:
+    def test_scgd_equals_bsgd_at_full_batch_unit_weight(self):
+        assert coincidence_gap(*instance(39, n=10), 2e-4) <= 1e-12
 
 
 class TestExactnessProperties:
