@@ -11,10 +11,12 @@ then sums in another order.
 Per-epoch negative log marginal likelihood is reported normalized,
 (quadratic + logdet + n log 2pi) / (2n), always through the ridge form of the
 loss minimized over the weights, which equals the kernel-space value at a
-d x d cost. It is exact on training sets of at most 2000 rows and otherwise
-taken on a fixed 2000-row subsample (the record's ``nll_kind`` says which).
-One Cholesky factor of Z^T Z + s2 I gives both the NLL and the gradient norm
-of the divergence probe.
+d x d cost. It is exact over every training row, so a record's ``nll_kind``
+is ``"exact"``; records from earlier versions, which evaluated a fixed
+2000-row subsample above 2000 training rows, may carry ``"subsample-2000"``.
+One Cholesky factor of Z^T Z + s2 I gives the NLL, the gradient norm of the
+divergence probe and the ridge weights of the best epoch's posterior-mean
+test prediction.
 
 Every pass over the data outside the steps (the start of ``minimax`` and
 ``scgd``, each evaluation and the final test prediction) runs over row blocks
@@ -74,7 +76,7 @@ from stochgp.optim import (
     scgd_step,
     schedule_at,
 )
-from stochgp.predict import _ridge_fit, rmse
+from stochgp.predict import rmse
 
 __all__ = [
     "DEFAULT_GRID",
@@ -95,7 +97,6 @@ __all__ = [
 
 DEFAULT_GRID = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 RESULTS_DIR_ENV = "STOCHGP_RESULTS_DIR"
-EVAL_SUBSAMPLE = 2000
 GRAD_DIVERGENCE_NORM = 1e12
 Optimizer = Literal["minimax", "scgd", "bsgd"]
 MapKind = Literal["linear", "mlp", "mlp+rff"]
@@ -274,7 +275,6 @@ class RunRecord:
 
     config: dict
     rate: float
-    nll_kind: str
     epochs: list[dict] = field(default_factory=list)
     diverged: bool = False
     best_epoch: int = -1
@@ -296,7 +296,7 @@ class RunRecord:
             "version": 1,
             "config": self.config,
             "rate": self.rate,
-            "nll_kind": self.nll_kind,
+            "nll_kind": "exact",  # every evaluation covers every training row
             "diverged": self.diverged,
             "diverge_reason": self.diverge_reason,
             "diverge_epoch": self.diverge_epoch,
@@ -353,29 +353,19 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 class _Evaluator:
-    """Per-epoch NLL and divergence probe on a fixed evaluation view."""
+    """Per-epoch NLL, divergence probe and ridge weights over every training row."""
 
-    def __init__(self, fmap, X, y, split_seed):
-        n = X.shape[0]
-        if n <= EVAL_SUBSAMPLE:
-            self.kind = "exact"
-            self.X, self.y = X, y
-        else:
-            self.kind = "subsample-%d" % EVAL_SUBSAMPLE
-            rows = np.sort(
-                np.random.default_rng(split_seed + 1).choice(n, EVAL_SUBSAMPLE, replace=False)
-            )
-            self.X, self.y = X[rows], y[rows]
-        self.fmap = fmap
+    def __init__(self, fmap, X, y):
+        self.fmap, self.X, self.y = fmap, X, y
 
-    def nll(self, theta: HyperParams) -> tuple[float, float]:
-        """(normalized NLL, gradient norm) at theta from one factorization.
+    def nll(self, theta: HyperParams) -> tuple[float, float, np.ndarray]:
+        """(normalized NLL, gradient norm, ridge weights) at theta from one factorization.
 
-        The NLL is the ridge-form loss minimized over the weights, which
-        equals the kernel-space value at O(n d^2 + d^3); the gradient norm is
-        that of the linearized loss at theta's own weights with M = F^{-1},
-        F = Z^T Z + s2 I. A failure raises (ValueError or LinAlgError), and
-        ``_train`` records its class and message.
+        The NLL is the ridge-form loss minimized over the weights w = F^{-1}
+        Z^T y, F = Z^T Z + s2 I, which equals the kernel-space value at
+        O(n d^2 + d^3); the gradient norm is that of the linearized loss at
+        theta's own weights with M = F^{-1}. A failure raises (ValueError or
+        LinAlgError), and ``_train`` records its class and message.
 
         One pass over the row blocks accumulates F and Z^T y; a second
         computes the ridge residual and sums the probe's gradient over the
@@ -403,21 +393,20 @@ class _Evaluator:
             g_block = _linearized_core(fmap, theta, fb, y[rows], fb.Z @ M_sym, trace_M, n)
             g = g_block if g is None else g.plus(g_block)
         raw = rr / s2 + float(w @ w) + logdet + (n - d) * math.log(s2)
-        return (raw + n * math.log(2 * math.pi)) / (2 * n), g.norm()
+        return (raw + n * math.log(2 * math.pi)) / (2 * n), g.norm(), w
 
 
 def _test_predictions(
-    fmap: FeatureMap, theta: HyperParams, X: np.ndarray, y: np.ndarray, X_test: np.ndarray
+    fmap: FeatureMap, theta: HyperParams, w: np.ndarray, X_test: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(posterior mean, prediction with theta's own weights) at the test rows.
 
-    The posterior mean is that of ``predict.posterior``, from the same
-    blocked ridge fit; the test rows are then passed over block by block.
+    ``w`` are the ridge weights ``_Evaluator.nll`` solved for at theta, so the
+    first is the mean of ``predict.posterior``; one pass over the test row
+    blocks gives both.
     """
-    params = theta.feature_params
-    w = _ridge_fit(fmap, params, theta.noise_variance, X, y)[1]
     marginal, learned = [], []
-    for _, batch in _feature_blocks(fmap, params, X_test):
+    for _, batch in _feature_blocks(fmap, theta.feature_params, X_test):
         marginal.append(batch.Z @ w)
         learned.append(batch.Z @ theta.weights)
     return np.concatenate(marginal), np.concatenate(learned)
@@ -462,7 +451,7 @@ def _prepare(cfg: ExperimentConfig) -> _Prepared:
         test_raw.targets,
         scaler,
         fmap,
-        _Evaluator(fmap, X, y, cfg.split_seed),
+        _Evaluator(fmap, X, y),
     )
 
 
@@ -480,7 +469,7 @@ def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
     X, y, fmap, evaluator = prep.X, prep.y, prep.fmap, prep.evaluator
     n, d = X.shape[0], fmap.output_dim
     theta = HyperParams(np.zeros(d), fmap.init_params(cfg.init_seed), cfg.init_sigma2)
-    record = RunRecord(config=_config_echo(cfg), rate=rate, nll_kind=evaluator.kind)
+    record = RunRecord(config=_config_echo(cfg), rate=rate)
 
     rng = np.random.default_rng(cfg.batch_seed)
     schedule = Schedule(cfg.schedule, rate, cfg.b0)
@@ -538,7 +527,7 @@ def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
         nll = math.inf
         if reason is None:
             try:
-                nll, grad_norm = evaluator.nll(theta)
+                nll, grad_norm, w = evaluator.nll(theta)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 reason = "non-finite NLL: %s: %s" % (type(exc).__name__, exc)
             else:
@@ -553,18 +542,18 @@ def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
             record.diverge_reason, record.diverge_epoch, record.diverge_step = reason, epoch, t
             break
         if best is None or nll < best[0]:
-            best = (nll, epoch, theta)
+            best = (nll, epoch, theta, w)
 
     if record.diverged or best is None:
         record.best_nll = math.inf
         return record
 
-    record.best_nll, record.best_epoch, best_theta = best
+    record.best_nll, record.best_epoch, best_theta, best_w = best
     record.best_weights = best_theta.weights.tolist()
     record.best_feature_flat = best_theta.feature_params.flat.tolist()
     record.best_noise_variance = best_theta.noise_variance
 
-    marginal, learned = _test_predictions(fmap, best_theta, X, y, prep.X_test)
+    marginal, learned = _test_predictions(fmap, best_theta, best_w, prep.X_test)
     record.test_rmse_marginal = rmse(prep.scaler.inverse_targets(marginal), prep.test_targets)
     record.test_rmse_learned_w = rmse(prep.scaler.inverse_targets(learned), prep.test_targets)
     return record

@@ -21,23 +21,6 @@ class Posterior:
     variance: np.ndarray
 
 
-def _ridge_fit(
-    fmap: FeatureMap,
-    feature_params: FeatureMapParams,
-    s2: float,
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(L, w): the Cholesky factor of Z^T Z + s2 I and the ridge weights (Z^T Z + s2 I)^{-1} Z^T y.
-
-    One pass over the row blocks of the training rows accumulates the system,
-    so the training features are never held whole.
-    """
-    F, Zty, _ = _ridge_system(fmap, feature_params, s2, X_train, y_train)
-    L = chol_lower(F, "posterior information matrix")
-    return L, chol_solve(L, Zty)
-
-
 def posterior(
     fmap: FeatureMap,
     feature_params: FeatureMapParams,
@@ -53,15 +36,18 @@ def posterior(
     I)^{-1} z), all through a single Cholesky factorization. The training
     rows and then the test rows are passed over in row blocks (see
     ``stochgp.objective.BLOCK_FLOATS``), so beyond the inputs and the two
-    length-t outputs the memory held is O(block (hidden + d) + d^2), the
-    same ridge body that a run's final prediction uses.
+    length-t outputs the memory held is O(block (hidden + d) + d^2). The
+    mean equals a run's marginal test prediction, whose ridge weights come
+    from the evaluator's factor of the same system.
     """
     s2 = float(sigma2)
     if s2 <= 0.0:
         raise ValueError("noise variance must be positive, got %g" % s2)
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
-    L, w = _ridge_fit(fmap, feature_params, s2, X_train, y_train)
+    F, Zty, _ = _ridge_system(fmap, feature_params, s2, X_train, y_train)
+    L = chol_lower(F, "posterior information matrix")
+    w = chol_solve(L, Zty)
     mean, variance = [], []
     for _, batch in _feature_blocks(fmap, feature_params, np.asarray(X_test, dtype=np.float64)):
         Zs = batch.Z

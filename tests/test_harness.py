@@ -34,7 +34,7 @@ from stochgp.harness import (
 )
 from stochgp.objective import HyperParams, _row_blocks, info_matrix
 from stochgp.oracles import exact_nll_oracle, grad_theta_of_linearized
-from stochgp.predict import rmse
+from stochgp.predict import posterior, rmse
 
 
 class TestSynthSpec:
@@ -270,7 +270,6 @@ def _small_cfg(**overrides):
 def _record_signature(rec):
     return (
         rec.rate,
-        rec.nll_kind,
         rec.diverged,
         rec.best_epoch,
         rec.best_nll,
@@ -294,7 +293,7 @@ class TestRunExperiment:
         assert [e["epoch"] for e in rec.epochs] == [1, 2, 3]
         assert all(e["wall_ms"] >= 0.0 for e in rec.epochs)
         assert all(math.isfinite(e["nll"]) for e in rec.epochs)
-        assert rec.nll_kind == "exact"
+        assert rec.to_json_dict()["nll_kind"] == "exact"
 
     def test_best_epoch_is_argmin_of_trace(self):
         rec = run_experiment(_small_cfg(epochs=5))
@@ -427,7 +426,7 @@ class TestRunExperiment:
         assert np.finfo(np.float64).eps * feature * feature > shift
 
     def test_diverge_reason_for_non_finite_nll(self, monkeypatch):
-        monkeypatch.setattr(_Evaluator, "nll", lambda self, theta: (math.nan, 0.0))
+        monkeypatch.setattr(_Evaluator, "nll", lambda self, theta: (math.nan, 0.0, None))
         rec = run_experiment(_small_cfg())
         assert rec.diverged
         assert (rec.diverge_reason, rec.diverge_epoch, rec.diverge_step) == (
@@ -490,7 +489,10 @@ class TestRunExperiment:
         assert not doc["diverged"]
         assert doc["diverge_reason"] is doc["diverge_epoch"] is doc["diverge_step"] is None
 
-    def test_large_train_set_switches_to_subsampled_nll(self):
+    def test_large_train_set_is_evaluated_on_every_row(self):
+        # 2250 training rows: the best NLL is the kernel-form value over all
+        # of them, and the marginal test RMSE is that of the posterior mean,
+        # both at the record's best parameters
         cfg = ExperimentConfig(
             synth=SynthSpec(n=2500, p=3, d=3, sigma2=0.5, seed=1),
             optimizer="bsgd",
@@ -499,8 +501,19 @@ class TestRunExperiment:
             learning_rate=1e-3,
         )
         rec = run_experiment(cfg)
-        assert rec.nll_kind == "subsample-2000"
-        assert math.isfinite(rec.best_nll)
+        assert rec.to_json_dict()["nll_kind"] == "exact"
+        train_raw, test_raw = split(gen_synthetic(cfg.synth)[0], cfg.train_fraction, cfg.split_seed)
+        train, scaler = standardize(train_raw)
+        X, y, n = train.features, train.targets, train.n
+        assert n > 2000
+        fmap = build_feature_map(cfg, X.shape[1])
+        params = fmap.params_from_flat(np.asarray(rec.best_feature_flat))
+        s2 = rec.best_noise_variance
+        raw = exact_nll_oracle(fmap, params, s2, X, y)
+        assert rec.best_nll == pytest.approx((raw + n * math.log(2 * math.pi)) / (2 * n), rel=1e-10)
+        mean = posterior(fmap, params, s2, X, y, scaler.transform(test_raw).features).mean
+        expected = rmse(scaler.inverse_targets(mean), test_raw.targets)
+        assert rec.test_rmse_marginal == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_rmse_is_computed_on_raw_target_scale(self):
         # targets scaled by 100: a run on the scaled copy must report
@@ -635,19 +648,23 @@ class TestNllNormalization:
         theta = HyperParams(rng.normal(size=d), fmap.init_params(seed), s2)
         X = rng.normal(size=(n, p))
         y = rng.normal(size=n)
-        nll, grad_norm = _Evaluator(fmap, X, y, 0).nll(theta)
+        nll, grad_norm, w = _Evaluator(fmap, X, y).nll(theta)
 
         raw = exact_nll_oracle(fmap, theta.feature_params, s2, X, y)
         assert nll == pytest.approx((raw + n * math.log(2 * math.pi)) / (2 * n), rel=1e-10)
-        M = spd_inverse(info_matrix(fmap, theta, X))
+        F = info_matrix(fmap, theta, X)
+        Zty = fmap.forward(theta.feature_params, X).Z.T @ y
+        scale = np.linalg.norm(F) * np.linalg.norm(w) + np.linalg.norm(Zty)
+        assert np.linalg.norm(F @ w - Zty) <= 1e-11 * scale
+        M = spd_inverse(F)
         expected = grad_theta_of_linearized(fmap, theta, X, y, M, n).norm()
         assert grad_norm == pytest.approx(expected, rel=1e-10)
 
 
 def _blocked_passes(fmap, theta, X, y, X_test, y_test):
     """info_matrix, (NLL, probe norm) and the two test RMSEs at theta."""
-    nll, probe = _Evaluator(fmap, X, y, 0).nll(theta)
-    marginal, learned = _test_predictions(fmap, theta, X, y, X_test)
+    nll, probe, w = _Evaluator(fmap, X, y).nll(theta)
+    marginal, learned = _test_predictions(fmap, theta, w, X_test)
     return info_matrix(fmap, theta, X), nll, probe, rmse(marginal, y_test), rmse(learned, y_test)
 
 
@@ -660,12 +677,12 @@ class TestBlockedPasses:
         X, y = rng.normal(size=(n, 8)), rng.normal(size=n)
         X_test = rng.normal(size=(256, 8))
         theta = HyperParams(rng.normal(size=64), fmap.init_params(0), 0.5)
-        evaluator = _Evaluator(fmap, X, y, 0)
+        evaluator = _Evaluator(fmap, X, y)
         tracemalloc.start()
         try:
             info_matrix(fmap, theta, X)
-            evaluator.nll(theta)
-            _test_predictions(fmap, theta, X, y, X_test)
+            w = evaluator.nll(theta)[2]
+            _test_predictions(fmap, theta, w, X_test)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -749,7 +766,7 @@ class TestGridSearch:
 
         def fake_train(cfg, prep, rate):
             calls.append(rate)
-            rec = hmod.RunRecord(config={}, rate=rate, nll_kind="exact")
+            rec = hmod.RunRecord(config={}, rate=rate)
             rec.best_nll = 1.0
             rec.best_epoch = 1
             return rec

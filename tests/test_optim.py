@@ -252,19 +252,33 @@ class TestProjectPrimal:
 
     def test_blockwise_nonexpansive(self):
         # the three stages are each projections onto a fixed convex set, so
-        # each is non-expansive in its own block; the noise clamp feeds the
-        # surrogate stage, so the surrogate comparison fixes a common noise
+        # each is non-expansive in its own block: two states that differ only
+        # in the noise, or only in the weights and feature coordinates, end no
+        # further apart in that block; the noise clamp feeds the surrogate
+        # stage, so the surrogate comparison fixes a common noise
         rng = np.random.default_rng(17)
         fmap = LinearMap(2)
+        params = MLPMap(MLPSpec(2, (2, 2))).init_params(0)
+
+        def project(w, flat, s2, coord_bound=1e6):
+            theta = HyperParams(w, params.with_flat(flat), s2)
+            return project_primal(AugmentedState(theta, np.eye(2)), 0.05, coord_bound).theta
+
         for _ in range(25):
             s_a, s_b = rng.uniform(-1, 4, size=2)
-            ca = min(max(s_a, 0.05**2), 1e6)
-            cb = min(max(s_b, 0.05**2), 1e6)
+            w = rng.normal(size=2)
+            ca, cb = (project(w, params.flat, s).noise_variance for s in (s_a, s_b))
             assert abs(ca - cb) <= abs(s_a - s_b) + 1e-15
 
-            w_a, w_b = rng.normal(size=(2, 4)) * 12
-            pa, pb = np.clip(w_a, -8, 8), np.clip(w_b, -8, 8)
-            assert np.linalg.norm(pa - pb) <= np.linalg.norm(w_a - w_b) + 1e-12
+            u, v = rng.normal(size=(2, 2 + params.n_params)) * 12
+            s = rng.uniform(0.1, 1.0)
+            pa, pb = project(u[:2], u[2:], s, 8.0), project(v[:2], v[2:], s, 8.0)
+            moved = np.concatenate(
+                [pa.weights - pb.weights, pa.feature_params.flat - pb.feature_params.flat]
+            )
+            assert np.linalg.norm(moved) <= np.linalg.norm(u - v) + 1e-12
+            # the box is a product of intervals, so each coordinate is too
+            assert (np.abs(moved) <= np.abs(u - v)).all()
 
             s2 = rng.uniform(0.1, 1.0)
             theta = HyperParams(np.zeros(2), fmap.init_params(0), s2)
