@@ -24,7 +24,7 @@ from stochgp.features import (
     compose,
     rff_init,
 )
-from stochgp.objective import HyperParams, ThetaGrad, info_matrix
+from stochgp.objective import HyperParams, info_matrix
 from stochgp.optim import (
     AugmentedState,
     MinimaxConfig,

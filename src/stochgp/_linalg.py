@@ -17,9 +17,10 @@ does on import still runs. An extension already in ``sys.modules`` is
 reused; one loaded here is registered there under its canonical name and
 handed over to a later import of its package (see ``_Handoff``). Either
 way ``scipy.linalg._flapack`` is the module bound here and
-``get_lapack_funcs``/``get_blas_funcs`` return the very objects bound here,
-so run records depend on scipy's LAPACK/BLAS build, not numpy's. The same
-loader gives :mod:`stochgp.features` scipy's Sobol engine,
+``get_lapack_funcs``/``get_blas_funcs`` return the very objects bound here.
+Run records depend on both BLAS builds: these kernels run on scipy's, and
+every ``@`` in the package (features, objective, optim, harness) on numpy's.
+The same loader gives :mod:`stochgp.features` scipy's Sobol engine,
 ``scipy.stats._sobol``, without the ``scipy.stats`` package.
 """
 
@@ -36,6 +37,7 @@ import scipy
 
 __all__ = [
     "NotPositiveDefiniteError",
+    "chol_inverse",
     "chol_lower",
     "try_chol_lower",
     "chol_solve",
@@ -152,16 +154,21 @@ def logdet_from_chol(L: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diagonal(L))))
 
 
-def spd_inverse(A: np.ndarray, context: str = "") -> np.ndarray:
-    """Dense inverse of an SPD matrix: Li^T @ Li for Li the inverse of its Cholesky factor.
+def chol_inverse(L: np.ndarray) -> np.ndarray:
+    """Dense inverse of L L^T: Li^T @ Li for Li the inverse of the lower factor L.
 
     The result is exactly symmetric: it is formed by one gemm, whose (i, j)
     and (j, i) entries sum identical products in the same order. gemm reads
-    the full array, which chol_lower cleans above the diagonal. ``context``
-    names A in the error raised when it is not positive definite.
+    the full array, which chol_lower cleans above the diagonal. L is
+    overwritten, as by :func:`tri_inverse_lower`.
     """
-    Li = tri_inverse_lower(chol_lower(A, context))
+    Li = tri_inverse_lower(L)
     return _gemm(1.0, Li, Li, trans_a=1)
+
+
+def spd_inverse(A: np.ndarray, context: str = "") -> np.ndarray:
+    """:func:`chol_inverse` of A's Cholesky factor; ``context`` names A in its error."""
+    return chol_inverse(chol_lower(A, context))
 
 
 def chol_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:

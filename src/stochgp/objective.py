@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from stochgp._linalg import diagonal, gram
 from stochgp.features import FeatureBatch, FeatureMap, FeatureMapParams
 
-__all__ = ["BLOCK_FLOATS", "HyperParams", "ThetaGrad", "info_matrix"]
+__all__ = ["BLOCK_FLOATS", "HyperParams", "info_matrix"]
 
 # A pass over the data computes the features of at most max(1, BLOCK_FLOATS // d)
 # rows at a time: one block's n x d features then take 512 KiB, the size of one
@@ -43,7 +42,9 @@ class HyperParams:
 
     Positivity of ``noise_variance`` is a precondition of the loss terms, not
     of construction, so that raw gradient steps can be represented before a
-    projection restores feasibility. All entries must be finite.
+    projection restores feasibility. All entries must be finite. ``flat``
+    is the point as one vector (weights, feature-map parameters, noise
+    variance), the layout of every gradient over theta; ``with_flat`` inverts it.
     """
 
     weights: np.ndarray
@@ -56,6 +57,8 @@ class HyperParams:
             raise ValueError("weights must be a 1-d vector, got shape %s" % (w.shape,))
         if not np.isfinite(w).all():
             raise ValueError("weights contain non-finite entries")
+        if not np.isfinite(self.feature_params.flat).all():
+            raise ValueError("feature parameters contain non-finite entries")
         s2 = float(self.noise_variance)
         if not math.isfinite(s2):
             raise ValueError("noise_variance is not finite")
@@ -66,32 +69,15 @@ class HyperParams:
     def d(self) -> int:
         return self.weights.shape[0]
 
+    @property
+    def flat(self) -> np.ndarray:
+        """Weights, flat feature-map parameters and noise variance as one new vector."""
+        return np.concatenate((self.weights, self.feature_params.flat, (self.noise_variance,)))
 
-class ThetaGrad(NamedTuple):
-    """Gradient blocks matching HyperParams: (weights, flat feature params, noise)."""
-
-    weights: np.ndarray
-    feature_params: np.ndarray
-    noise_variance: float
-
-    def scaled(self, c: float) -> "ThetaGrad":
-        return ThetaGrad(c * self.weights, c * self.feature_params, c * self.noise_variance)
-
-    def plus(self, other: "ThetaGrad") -> "ThetaGrad":
-        return ThetaGrad(
-            self.weights + other.weights,
-            self.feature_params + other.feature_params,
-            self.noise_variance + other.noise_variance,
-        )
-
-    def norm(self) -> float:
-        return float(
-            np.sqrt(
-                np.sum(self.weights**2)
-                + np.sum(self.feature_params**2)
-                + self.noise_variance**2
-            )
-        )
+    def with_flat(self, v: np.ndarray) -> "HyperParams":
+        """The checked parameter point whose ``flat`` is v, on this point's map layout."""
+        d = self.d
+        return HyperParams(v[:d], self.feature_params.with_flat(v[d:-1]), v[-1])
 
 
 def _check_noise(noise_variance: float) -> float:
@@ -162,7 +148,7 @@ def _linearized_core(
     ZM: np.ndarray,
     trace_M: float,
     n_total: int,
-) -> ThetaGrad:
+) -> np.ndarray:
     """Gradient over theta of the batch loss linearized at M, given the batch's features.
 
     That loss is sum_{i in batch} [loss_term_i + <M, info_term_i>]; the step
@@ -171,7 +157,8 @@ def _linearized_core(
     feature upstream, and its trace, the noise-variance term. Callers form
     them however suits their M: the step rules and the evaluator multiply by
     an explicit M, ``scgd_step`` applies the tracker's inverse through its
-    Cholesky factor without ever forming it.
+    Cholesky factor without ever forming it. The gradient is laid out as
+    ``HyperParams.flat``.
     """
     s2 = _check_noise(theta.noise_variance)
     y_batch = np.asarray(y_batch, dtype=np.float64)
@@ -190,4 +177,4 @@ def _linearized_core(
         + s * (n - d) / (n * s2)
         + s * trace_M / n
     )
-    return ThetaGrad(g_w, g_alpha, g_s2)
+    return np.concatenate((g_w, g_alpha, (g_s2,)))

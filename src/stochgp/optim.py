@@ -50,7 +50,7 @@ from stochgp._linalg import (
     try_chol_lower,
 )
 from stochgp.features import FeatureMap
-from stochgp.objective import HyperParams, ThetaGrad, _linearized_core, info_matrix
+from stochgp.objective import HyperParams, _linearized_core, info_matrix
 
 __all__ = [
     "AugmentedState",
@@ -186,10 +186,10 @@ def _primal_grads(
     y_batch: np.ndarray,
     n: int,
     penalty: float,
-) -> tuple[ThetaGrad, np.ndarray, np.ndarray]:
-    """(theta blocks, symmetrized surrogate block, batch info sum) at zeta.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta gradient, symmetrized surrogate block, batch info sum) at zeta.
 
-    The blocks are the gradients of (n/s) times the batch sum of
+    The first two are the gradients of (n/s) times the batch sum of
     ``oracles.minimax_sample_objective``.
     """
     theta = zeta.theta
@@ -199,9 +199,9 @@ def _primal_grads(
 
     batch = fmap.forward(theta.feature_params, X_batch)
     M = (-penalty / norm) * B
-    g_theta = _linearized_core(
+    g_theta = (n / s) * _linearized_core(
         fmap, theta, batch, y_batch, batch.Z @ (M + M.T), float(np.trace(M)), n
-    ).scaled(n / s)
+    )
 
     info_sum = gram(batch.Z, s * theta.noise_variance / n)
 
@@ -221,13 +221,11 @@ def _dual_grad(
     return (penalty / _surrogate_norm(A)) * (A - (n / s) * info_sum)
 
 
-def _descend(theta: HyperParams, g: ThetaGrad, a: float, sigma_min: float) -> HyperParams:
+def _descend(theta: HyperParams, g: np.ndarray, a: float, sigma_min: float) -> HyperParams:
     """theta - a g, with the noise variance held at or above sigma_min^2."""
-    return HyperParams(
-        theta.weights - a * g.weights,
-        theta.feature_params.with_flat(theta.feature_params.flat - a * g.feature_params),
-        max(theta.noise_variance - a * g.noise_variance, sigma_min * sigma_min),
-    )
+    v = theta.flat - a * g
+    v[-1] = max(v[-1], sigma_min * sigma_min)
+    return theta.with_flat(v)
 
 
 def project_dual_ball(B: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ the ridge minimizer and the n x n kernel-space NLL it must match
 (``ridge_closed_form``, ``exact_nll_oracle``), and the penalized objective of
 ``minimax_step`` per sample with its batch gradients (which run the step's
 own gradient body). They form n x n or per-sample arrays: test-scale data
-only.
+only. A gradient over theta is a vector in ``HyperParams.flat``'s layout,
+the vector that finite differences perturb.
 
 Each of the paper's exactness identities has one body here that takes an
 instance and returns its measured gap: ``ridge_gaps`` and
@@ -33,7 +34,7 @@ import numpy as np
 
 from stochgp._linalg import chol_lower, chol_solve, diagonal, gram, logdet_from_chol, symmetrize
 from stochgp.features import FeatureMap, FeatureMapParams, LinearMap, MLPMap, MLPSpec, RFFMap
-from stochgp.objective import HyperParams, ThetaGrad, _check_noise, _linearized_core
+from stochgp.objective import HyperParams, _check_noise, _linearized_core
 from stochgp.optim import (
     AugmentedState,
     SCGDState,
@@ -61,7 +62,6 @@ __all__ = [
     "fd_grad",
     "fd_grad_matrix_sym",
     "feasibility_gaps",
-    "flat",
     "full_loss",
     "grad_theta_of_linearized",
     "linearized_grad_error",
@@ -175,7 +175,7 @@ def ridge_identity_check(V: np.ndarray, b: np.ndarray, lam: float) -> tuple[floa
 def grad_theta_of_linearized(
     fmap: FeatureMap, theta: HyperParams, X_batch: np.ndarray, y_batch: np.ndarray,
     M: np.ndarray, n_total: int,
-) -> ThetaGrad:
+) -> np.ndarray:
     """Gradient over theta of sum_{i in batch} [loss_term_i + <M, info_term_i>].
 
     M is held fixed (it plays the role of an inverse information-matrix
@@ -216,10 +216,10 @@ def minimax_sample_objective(
 def minimax_batch_grads(
     fmap: FeatureMap, zeta: AugmentedState, dual: np.ndarray, X_batch: np.ndarray,
     y_batch: np.ndarray, n_total: int, penalty: float,
-) -> tuple[ThetaGrad, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of (n/s) * sum over the batch of the penalized sample objective.
 
-    Returns (theta blocks, surrogate-matrix block, dual block). The surrogate
+    Returns (theta gradient, surrogate-matrix block, dual block). The surrogate
     block is symmetrized since A ranges over symmetric matrices; the dual
     block is penalty * (A - (n/s) * batch info sum) / ||A||_F. Both come from
     the gradient body that ``minimax_step`` runs.
@@ -296,20 +296,6 @@ def max_rel_error(value, reference, floor) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), floor)))
 
 
-def flat(p: HyperParams | ThetaGrad) -> np.ndarray:
-    """Weights, flat feature-map parameters and noise variance as one vector."""
-    fp = p.feature_params
-    if isinstance(fp, FeatureMapParams):
-        fp = fp.flat
-    return np.concatenate([p.weights, fp, [p.noise_variance]])
-
-
-def _at(theta: HyperParams, v: np.ndarray) -> HyperParams:
-    """The parameter point whose ``flat`` is v, on theta's map layout."""
-    d = theta.d
-    return HyperParams(v[:d], theta.feature_params.with_flat(v[d:-1]), float(v[-1]))
-
-
 # -- one body per identity -----------------------------------------------------
 
 
@@ -375,8 +361,8 @@ def penalized_grad_errors(
 
     return {
         "penalized theta": max_rel_error(
-            flat(g_theta),
-            fd_grad(lambda v: objective(AugmentedState(_at(theta, v), A), dual), flat(theta)),
+            g_theta,
+            fd_grad(lambda v: objective(AugmentedState(theta.with_flat(v), A), dual), theta.flat),
             1e-8,
         ),
         "penalized surrogate": max_rel_error(
@@ -387,12 +373,12 @@ def penalized_grad_errors(
 
 
 def _batch_loss(fmap, theta, X, y, idx, M=None):
-    """v -> sum over idx of the sample loss terms at _at(theta, v), plus <M, F> or, with
-    no M, logdet(F), for F the sum of the sample info terms."""
+    """v -> sum over idx of the sample loss terms at theta.with_flat(v), plus <M, F> or,
+    with no M, logdet(F), for F the sum of the sample info terms."""
     n = len(X)
 
     def f(v):
-        th = _at(theta, v)
+        th = theta.with_flat(v)
         loss = sum(sample_loss_term(fmap, th, X[i], y[i], n) for i in idx)
         F = sum(sample_info_term(fmap, th, X[i], n) for i in idx)
         return loss + (logdet_psd(F) if M is None else float(np.sum(M * F)))
@@ -405,7 +391,7 @@ def linearized_grad_error(
 ) -> float:
     """``grad_theta_of_linearized`` against central differences of the batch loss linearized at M."""
     g = grad_theta_of_linearized(fmap, theta, X[idx], y[idx], M, len(X))
-    return max_rel_error(flat(g), fd_grad(_batch_loss(fmap, theta, X, y, idx, M), flat(theta)), 1e-8)
+    return max_rel_error(g, fd_grad(_batch_loss(fmap, theta, X, y, idx, M), theta.flat), 1e-8)
 
 
 def scgd_grad_error(
@@ -415,8 +401,8 @@ def scgd_grad_error(
     linearized at the inverse of the tracker it starts from."""
     M = np.linalg.inv(state.tracked_info)
     out = scgd_step(fmap, state, X, y, np.asarray(idx), a_t, 0.5)
-    direction = (flat(state.theta) - flat(out.theta)) / a_t
-    numeric = fd_grad(_batch_loss(fmap, state.theta, X, y, idx, M), flat(state.theta))
+    direction = (state.theta.flat - out.theta.flat) / a_t
+    numeric = fd_grad(_batch_loss(fmap, state.theta, X, y, idx, M), state.theta.flat)
     return max_rel_error(direction, numeric, 1e-8)
 
 
@@ -424,8 +410,8 @@ def bsgd_grad_error(
     fmap: FeatureMap, theta: HyperParams, X: np.ndarray, y: np.ndarray, idx, a_t: float = 1e-4
 ) -> float:
     """``bsgd_step``'s parameter direction against central differences of the batch loss."""
-    direction = (flat(theta) - flat(bsgd_step(fmap, theta, X, y, np.asarray(idx), a_t))) / a_t
-    return max_rel_error(direction, fd_grad(_batch_loss(fmap, theta, X, y, idx), flat(theta)), 1e-8)
+    direction = (theta.flat - bsgd_step(fmap, theta, X, y, np.asarray(idx), a_t).flat) / a_t
+    return max_rel_error(direction, fd_grad(_batch_loss(fmap, theta, X, y, idx), theta.flat), 1e-8)
 
 
 def backward_error(
@@ -453,7 +439,7 @@ def enumeration_gaps(
 
     def blocks(idx):
         g_theta, g_A, g_B = minimax_batch_grads(fmap, zeta, dual, X[idx], y[idx], n, penalty)
-        return np.concatenate([flat(g_theta), g_A.ravel(), g_B.ravel()])
+        return np.concatenate([g_theta, g_A.ravel(), g_B.ravel()])
 
     full = blocks(np.arange(n))
     gaps = []
@@ -471,7 +457,7 @@ def baseline_bias(
     full-batch direction: the baseline's small-batch bias, which enumeration does not remove."""
 
     def direction(idx):
-        return (flat(theta) - flat(bsgd_step(fmap, theta, X, y, np.asarray(idx), a_t))) / a_t
+        return (theta.flat - bsgd_step(fmap, theta, X, y, np.asarray(idx), a_t).flat) / a_t
 
     mean = np.mean([direction(b) for b in itertools.product(range(len(X)), repeat=s)], axis=0)
     return float(np.linalg.norm(mean - direction(np.arange(len(X)))))
@@ -485,8 +471,8 @@ def coincidence_gap(
     max(1, largest |bsgd direction|)."""
     full = np.arange(len(X))
     stepped = scgd_step(fmap, scgd_init(fmap, theta, X), X, y, full, a_t, 1.0).theta
-    dir_s = (flat(theta) - flat(stepped)) / a_t
-    dir_b = (flat(theta) - flat(bsgd_step(fmap, theta, X, y, full, a_t))) / a_t
+    dir_s = (theta.flat - stepped.flat) / a_t
+    dir_b = (theta.flat - bsgd_step(fmap, theta, X, y, full, a_t).flat) / a_t
     return float(np.max(np.abs(dir_s - dir_b))) / max(1.0, float(np.max(np.abs(dir_b))))
 
 
@@ -501,7 +487,7 @@ def feasibility_gaps(
     [noise variance, eig_bound]. 0 means feasible.
     """
     s2, A = zeta.theta.noise_variance, zeta.info_surrogate
-    coords = flat(zeta.theta)[:-1]
+    coords = zeta.theta.flat[:-1]
     vals = np.linalg.eigvalsh(A)
     bound = max(
         sigma_min * sigma_min - s2,
@@ -515,7 +501,7 @@ def feasibility_gaps(
 
 class ProjectionGaps(NamedTuple):
     """``feasibility_gaps`` of a projected state and the Euclidean norms of what
-    projecting it again moves: the parameter vector ``flat`` and the surrogate."""
+    projecting it again moves: the parameter vector ``theta.flat`` and the surrogate."""
 
     bound: float
     spectrum: float
@@ -531,7 +517,7 @@ def projection_gaps(
     twice = project_primal(once, sigma_min, coord_bound, eig_bound)
     return ProjectionGaps(
         *feasibility_gaps(once, sigma_min, coord_bound, eig_bound),
-        float(np.linalg.norm(flat(twice.theta) - flat(once.theta))),
+        float(np.linalg.norm(twice.theta.flat - once.theta.flat)),
         float(np.linalg.norm(twice.info_surrogate - once.info_surrogate)),
     )
 

@@ -657,7 +657,7 @@ class TestNllNormalization:
         scale = np.linalg.norm(F) * np.linalg.norm(w) + np.linalg.norm(Zty)
         assert np.linalg.norm(F @ w - Zty) <= 1e-11 * scale
         M = spd_inverse(F)
-        expected = grad_theta_of_linearized(fmap, theta, X, y, M, n).norm()
+        expected = np.linalg.norm(grad_theta_of_linearized(fmap, theta, X, y, M, n))
         assert grad_norm == pytest.approx(expected, rel=1e-10)
 
 

@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from instances import instance
 from stochgp._linalg import NotPositiveDefiniteError
 from stochgp.features import LinearMap, MLPMap, MLPSpec
-from stochgp.objective import HyperParams, ThetaGrad, info_matrix
+from stochgp.objective import HyperParams, info_matrix
 from stochgp.oracles import (
     decomposition_gap,
     exact_nll_oracle,
-    flat,
     full_loss,
     grad_theta_of_linearized,
     linearized_grad_error,
@@ -53,17 +52,38 @@ class TestHyperParams:
             HyperParams(np.array([1.0, np.nan]), fmap.init_params(0), 1.0)
         with pytest.raises(ValueError, match="finite"):
             HyperParams(np.zeros(2), fmap.init_params(0), np.inf)
+        for kind in ("mlp", "mlp+rff"):
+            _, theta, _, _ = instance(0, 1, kind)
+            for bad in (np.inf, np.nan):
+                f = theta.feature_params.flat.copy()
+                f[1] = bad
+                with pytest.raises(ValueError, match="feature parameters contain non-finite"):
+                    HyperParams(theta.weights, theta.feature_params.with_flat(f), 1.0)
 
     def test_rejects_matrix_weights(self):
         with pytest.raises(ValueError, match="1-d"):
             HyperParams(np.zeros((2, 2)), LinearMap(2).init_params(0), 1.0)
 
     def test_grad_helpers(self):
-        g = ThetaGrad(np.array([3.0, 4.0]), np.array([0.0]), 0.0)
-        assert g.norm() == pytest.approx(5.0)
-        h = g.scaled(3.0)
-        np.testing.assert_array_equal(h.weights, [9.0, 12.0])
-        assert h.norm() == pytest.approx(15.0)
+        # flat lays theta out as weights, feature-map parameters, noise variance
+        _, theta, _, _ = instance(3, 1, "mlp")
+        v = theta.flat
+        d, k = theta.d, theta.feature_params.n_params
+        assert v.shape == (d + k + 1,)
+        np.testing.assert_array_equal(v[:d], theta.weights)
+        np.testing.assert_array_equal(v[d:-1], theta.feature_params.flat)
+        assert v[-1] == theta.noise_variance
+        back = theta.with_flat(v)
+        np.testing.assert_array_equal(back.flat, v)
+        assert back.feature_params.layout == theta.feature_params.layout
+        # a gradient is a plain vector in that layout: scaling and norms are numpy's
+        g = np.zeros_like(v)
+        g[:2] = [3.0, 4.0]
+        assert np.linalg.norm(g) == pytest.approx(5.0)
+        h = 3.0 * g
+        np.testing.assert_array_equal(h[:2], [9.0, 12.0])
+        assert np.linalg.norm(h) == pytest.approx(15.0)
+        np.testing.assert_array_equal(theta.with_flat(v - h).weights, theta.weights - [9.0, 12.0])
 
 
 class TestSampleLossTerm:
@@ -244,9 +264,10 @@ class TestGradThetaOfLinearized:
         y = X @ w
         theta = HyperParams(w, fmap.init_params(0), 1.0)
         g = grad_theta_of_linearized(fmap, theta, X[:2], y[:2], np.zeros((3, 3)), n_total=3)
-        np.testing.assert_allclose(g.weights, (2.0 * 2 / 3) * w, atol=1e-12)
-        assert g.feature_params.shape == (0,)
-        assert g.noise_variance == pytest.approx(0.0, abs=1e-12)
+        # the gradient is laid out as theta.flat: 3 weights, no map parameters, noise
+        assert g.shape == (4,)
+        np.testing.assert_allclose(g[:3], (2.0 * 2 / 3) * w, atol=1e-12)
+        assert g[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_finite_differences(self):
         fmap, theta, X, y = instance(51, 9, p=3, hidden=4, sigma2=0.5)
@@ -277,7 +298,7 @@ class TestGradThetaOfLinearized:
         h_dim, d = 3, 2
         F = info_matrix(fmap, theta, X)
         M = np.linalg.inv(F)
-        analytic = flat(grad_theta_of_linearized(fmap, theta, X, y, M, n_total=n))
+        analytic = grad_theta_of_linearized(fmap, theta, X, y, M, n_total=n)
 
         def loss(v):
             w = v[:d]
@@ -301,7 +322,7 @@ class TestGradThetaOfLinearized:
                 + (n - d) * np.log(s2)
             )
 
-        v0 = flat(theta)
+        v0 = theta.flat
         assert loss(v0.astype(np.complex128)).real == pytest.approx(
             full_loss(fmap, theta, X, y), rel=1e-12
         )

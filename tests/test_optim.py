@@ -1,15 +1,18 @@
 """Optimizer steps, projections, schedules, and their exactness properties."""
 
 import itertools
+from collections import Counter
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+import stochgp._linalg
 from instances import feasible_surrogate, instance
 from stochgp._linalg import NotPositiveDefiniteError, symmetrize
 from stochgp.features import LinearMap, MLPMap, MLPSpec
+from stochgp.harness import _Evaluator
 from stochgp.objective import HyperParams, info_matrix
 from stochgp.optim import (
     AugmentedState,
@@ -32,7 +35,6 @@ from stochgp.oracles import (
     dual_ball_gaps,
     enumeration_gaps,
     feasibility_gaps,
-    flat,
     full_loss,
     grad_theta_of_linearized,
     logdet_psd,
@@ -148,10 +150,10 @@ class TestMinimaxBatchGrads:
         np.testing.assert_array_equal(g_B, np.zeros((2, 2)))
         # surrogate block reduces to the inverse; theta block to the plain loss terms
         np.testing.assert_allclose(g_A, np.linalg.inv(A), rtol=1e-12)
-        plain = grad_theta_of_linearized(
+        plain = (n / 2) * grad_theta_of_linearized(
             fmap, theta, X[idx], y[idx], np.zeros((2, 2)), n
-        ).scaled(n / 2)
-        np.testing.assert_allclose(flat(g_theta), flat(plain), rtol=1e-12)
+        )
+        np.testing.assert_allclose(g_theta, plain, rtol=1e-12)
 
     def test_matches_finite_differences_all_blocks(self):
         fmap, theta, X, y = instance(9, n=5, hidden=4, d=3, sigma2=0.7)
@@ -427,12 +429,13 @@ class TestMinimaxStep:
         cfg = MinimaxConfig(primal_rate=0.3, dual_rate=0.1, sigma_min=0.7, coord_bound=2.0, eig_bound=4.0)
         idx = [0, 3, 5, 5]
         g_theta, g_A, _ = minimax_batch_grads(fmap, zeta, dual, X[idx], y[idx], 12, cfg.penalty)
-        a = cfg.primal_rate
+        a, d = cfg.primal_rate, theta.d
+        v = theta.flat - a * g_theta
         raw = AugmentedState(
             HyperParams(
-                theta.weights - a * g_theta.weights,
-                theta.feature_params.with_flat(theta.feature_params.flat - a * g_theta.feature_params),
-                max(theta.noise_variance - a * g_theta.noise_variance, cfg.sigma_min**2),
+                v[:d],
+                theta.feature_params.with_flat(v[d:-1]),
+                max(v[-1], cfg.sigma_min**2),
             ),
             zeta.info_surrogate - a * g_A,
         )
@@ -453,7 +456,7 @@ class TestMinimaxStep:
         cfg = MinimaxConfig(primal_rate=1e308, dual_rate=0.1)
         with np.errstate(over="ignore"):
             g_theta, _, _ = minimax_batch_grads(fmap, zeta, dual, X[:4], y[:4], 8, cfg.penalty)
-            assert not np.isfinite(theta.weights - 1e308 * g_theta.weights).all()
+            assert not np.isfinite(theta.weights - 1e308 * g_theta[: theta.d]).all()
             with pytest.raises(ValueError, match="weights contain non-finite entries"):
                 minimax_step(fmap, zeta, dual, X, y, [0, 1, 2, 3], [4, 5], cfg)
 
@@ -555,7 +558,7 @@ class TestSCGD:
         out = scgd_step(fmap, state, X, y, idx, a_t=a, b_t=0.5)
         M = np.linalg.inv(state.tracked_info)
         g = grad_theta_of_linearized(fmap, theta, X[idx], y[idx], M, 8)
-        np.testing.assert_allclose((flat(theta) - flat(out.theta)) / a, flat(g), rtol=1e-10)
+        np.testing.assert_allclose((theta.flat - out.theta.flat) / a, g, rtol=1e-10)
 
     def test_indefinite_tracker_is_floored(self):
         fmap, theta, X, y = instance(32, n=6)
@@ -597,7 +600,7 @@ class TestBSGD:
         out = bsgd_step(fmap, theta, X, y, np.arange(n), a_t=a)
         M = np.linalg.inv(info_matrix(fmap, theta, X))
         g = grad_theta_of_linearized(fmap, theta, X, y, M, n)
-        np.testing.assert_allclose((flat(theta) - flat(out)) / a, flat(g), rtol=1e-9)
+        np.testing.assert_allclose((theta.flat - out.flat) / a, g, rtol=1e-9)
 
     def test_matches_finite_differences_of_batch_loss(self):
         assert bsgd_grad_error(*instance(36, n=7), [0, 2, 5], a_t=1e-5) < 1e-5
@@ -656,3 +659,64 @@ class TestExactnessProperties:
     @example(kind="mlp", n=10, sigma2=0.6, seed=39)
     def test_scgd_at_the_exact_tracker_is_bsgd_on_the_full_batch(self, kind, n, sigma2, seed):
         assert coincidence_gap(*instance(seed, n, kind, sigma2=sigma2), 1e-2) <= 1e-12
+
+
+class TestCallBudget:
+    """LAPACK/BLAS calls per step and per evaluation, counted at the kernel handles.
+
+    The counts do not depend on the machine, so they pin the cubic work of
+    each rule: a change that adds a call must change its budget here and
+    say why.
+    """
+
+    KERNELS = ("_potrf", "_trtri", "_potrs", "_gemm", "_syrk")
+    # calls of (potrf, trtri, potrs, gemm, syrk, np.linalg.eigh) per call of the caller
+    BUDGET = {
+        "minimax": (2, 1, 0, 1, 2, 0),
+        "scgd": (1, 1, 1, 0, 1, 0),
+        "bsgd": (1, 1, 0, 1, 1, 0),
+        "evaluation": (1, 1, 1, 1, 1, 0),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(BUDGET))
+    def test_calls_per_step(self, caller, monkeypatch):
+        # MLP 3 -> 8 -> 5 on 40 rows, batches of 8. With 8 hidden units the
+        # features have full rank, so the surrogate stays inside its cone and the
+        # tracker positive definite, and neither repair path (eigh) runs; with 4,
+        # Z^T Z is singular and the projection takes eigh on most steps
+        fmap, theta, X, y = instance(41, 40, p=3, hidden=8, d=5)
+        rng = np.random.default_rng(42)
+        steps = 3
+        batches = [rng.integers(0, 40, size=8) for _ in range(2 * steps)]
+        cfg = MinimaxConfig(primal_rate=1e-3, dual_rate=1e-2)
+        evaluator = _Evaluator(fmap, X, y)
+        # (start, the state after step t from a state); an evaluation leaves theta as it is
+        state, advance = {
+            "minimax": (
+                minimax_init(fmap, theta, X),
+                lambda z, t: minimax_step(fmap, *z, X, y, batches[2 * t], batches[2 * t + 1], cfg),
+            ),
+            "scgd": (
+                scgd_init(fmap, theta, X),
+                lambda st, t: scgd_step(fmap, st, X, y, batches[t], 1e-3, 0.5),
+            ),
+            "bsgd": (theta, lambda th, t: bsgd_step(fmap, th, X, y, batches[t], 1e-3)),
+            "evaluation": (theta, lambda th, t: (evaluator.nll(th), th)[1]),
+        }[caller]
+
+        counts = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in self.KERNELS:
+            monkeypatch.setattr(stochgp._linalg, name, counting(name, getattr(stochgp._linalg, name)))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        for t in range(steps):
+            state = advance(state, t)
+        got = tuple(counts[name] / steps for name in self.KERNELS + ("eigh",))
+        assert got == self.BUDGET[caller]
