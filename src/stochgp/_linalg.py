@@ -47,6 +47,8 @@ __all__ = [
     "spd_inverse",
     "symmetrize",
     "gram",
+    "gram_upper",
+    "mirror_upper",
     "tri_inverse_lower",
 ]
 
@@ -157,10 +159,10 @@ def logdet_from_chol(L: np.ndarray) -> float:
 def chol_inverse(L: np.ndarray) -> np.ndarray:
     """Dense inverse of L L^T: Li^T @ Li for Li the inverse of the lower factor L.
 
-    The result is exactly symmetric: it is formed by one gemm, whose (i, j)
-    and (j, i) entries sum identical products in the same order. gemm reads
-    the full array, which chol_lower cleans above the diagonal. L is
-    overwritten, as by :func:`tri_inverse_lower`.
+    One gemm forms it, which is not always exactly symmetric (at d = 255 and
+    300 at 1 thread, and at d = 95, 127, 129, 200, 255, 257, 300 at 2), so
+    callers form M + M^T. gemm reads the full array, which chol_lower cleans
+    above the diagonal. L is overwritten, as by :func:`tri_inverse_lower`.
     """
     Li = tri_inverse_lower(L)
     return _gemm(1.0, Li, Li, trans_a=1)
@@ -228,30 +230,38 @@ def diagonal(A: np.ndarray) -> np.ndarray:
     return A.ravel(order="K")[:: A.shape[0] + 1]
 
 
-def gram(Z: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """Z^T Z + shift I as a full symmetric matrix (syrk + mirror).
+def gram_upper(Z: np.ndarray) -> np.ndarray:
+    """The upper triangle of Z^T Z from one syrk, zeros below; :func:`gram` mirrors it.
 
-    The diagonal is syrk's diagonal plus the shift, so gram(Z, c) equals
-    gram(Z) with c added to its diagonal, bit for bit. syrk gets whichever of
-    Z and Z^T is Fortran-ordered, so a C-ordered Z is read in place: handed
-    over as Z with trans=1, f2py would first copy it into a transposed n x d
-    array. Both calls give the same bits. A Z with no rows gives shift I
-    without a call: (0, d) is both C- and Fortran-ordered, so syrk would get
-    a leading dimension of 0, which OpenBLAS reports on stderr.
+    syrk gets whichever of Z and Z^T is Fortran-ordered, so a C-ordered Z is
+    read in place (f2py would copy it for trans=1); both give the same bits.
+    Records rest on the upper triangle: syrk's lower=1 result is not its
+    transposed lower=0 one at every shape (up to 6e-14 apart at d = 12, 17,
+    31). A Z with no rows gives zeros without a call: syrk would get a
+    leading dimension of 0, which OpenBLAS reports on stderr.
     """
     Z = _as_f64(Z)
     if Z.shape[0] == 0:
-        G = np.zeros((Z.shape[1], Z.shape[1]), order="F")
-        diagonal(G)[...] = shift
-        return G
+        return np.zeros((Z.shape[1], Z.shape[1]), order="F")
     if Z.flags.f_contiguous:
-        G = _syrk(1.0, Z, trans=1, lower=0)
-    else:
-        G = _syrk(1.0, Z.T, trans=0, lower=0)
+        return _syrk(1.0, Z, trans=1, lower=0)
+    return _syrk(1.0, Z.T, trans=0, lower=0)
+
+
+def mirror_upper(G: np.ndarray, shift: float) -> np.ndarray:
+    """G, zero below its diagonal, made symmetric in place with the shift added to its diagonal.
+
+    The diagonal is G's own plus the shift, so gram(Z, c) equals gram(Z) with
+    c added to its diagonal, and one mirror of a sum of triangles equals the
+    sum of their mirrors, bit for bit.
+    """
     diag = diagonal(G)
     top = diag + shift
-    # syrk leaves zeros below the diagonal, so this mirrors the upper triangle
-    # exactly and only doubles the diagonal, which is then overwritten
-    G += G.T
+    G += G.T  # copies the upper triangle exactly; the doubled diagonal is overwritten
     diag[...] = top
     return G
+
+
+def gram(Z: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Z^T Z + shift I, full and symmetric: :func:`gram_upper`, then :func:`mirror_upper`."""
+    return mirror_upper(gram_upper(Z), shift)

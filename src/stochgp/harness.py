@@ -380,6 +380,7 @@ class _Evaluator:
         w = chol_solve(L, Zty)
         logdet = logdet_from_chol(L)
         M = chol_inverse(L)  # overwrites L
+        # M + M^T, not 2 M: chol_inverse's gemm is not always exactly symmetric
         M_sym, trace_M = M + M.T, float(np.trace(M))
         if batch is None:
             blocks = _feature_blocks(fmap, theta.feature_params, X)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stochgp._linalg import diagonal, gram
+from stochgp._linalg import gram_upper, mirror_upper
 from stochgp.features import FeatureBatch, FeatureMap, FeatureMapParams
 
 __all__ = ["BLOCK_FLOATS", "HyperParams", "info_matrix"]
@@ -112,22 +112,22 @@ def _ridge_system(
 ) -> tuple[np.ndarray, np.ndarray | None, FeatureBatch | None]:
     """(Z^T Z + s2 I, Z^T y, batch) from one pass over the row blocks of X.
 
-    The blocks' grams and products are summed in row order and s2 is added
-    once, so for a single block the result is gram(Z, s2) and Z^T y bit for
-    bit. Z^T y is None when y is. ``batch`` is X's FeatureBatch when X is a
+    The blocks' upper triangles and products are summed in row order, and
+    the sum is mirrored and shifted by s2 once. That equals the sum of the
+    blocks' grams plus s2 I bit for bit, and gram(Z, s2) for a single block.
+    Z^T y is None when y is. ``batch`` is X's FeatureBatch when X is a
     single block, for a second pass to reuse, and None otherwise.
     """
     for k, (rows, batch) in enumerate(_feature_blocks(fmap, feature_params, X)):
         Z = batch.Z
         if k == 0:
-            F = gram(Z)
+            F = gram_upper(Z)
             Zty = None if y is None else Z.T @ y[rows]
         else:
-            F += gram(Z)
+            F += gram_upper(Z)
             if y is not None:
                 Zty += Z.T @ y[rows]
-    diagonal(F)[...] += s2
-    return F, Zty, batch if k == 0 else None
+    return mirror_upper(F, s2), Zty, batch if k == 0 else None
 
 
 def info_matrix(fmap: FeatureMap, theta: HyperParams, X: np.ndarray) -> np.ndarray:

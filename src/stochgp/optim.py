@@ -187,10 +187,10 @@ def _primal_grads(
     n: int,
     penalty: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(theta gradient, symmetrized surrogate block, batch info sum) at zeta.
+    """(theta gradient, surrogate block, batch info sum) at zeta.
 
     The first two are the gradients of (n/s) times the batch sum of
-    ``oracles.minimax_sample_objective``.
+    ``oracles.minimax_sample_objective``; ``project_primal`` symmetrizes the step.
     """
     theta = zeta.theta
     A = zeta.info_surrogate
@@ -199,6 +199,7 @@ def _primal_grads(
 
     batch = fmap.forward(theta.feature_params, X_batch)
     M = (-penalty / norm) * B
+    # M + M^T, not 2 M: a dual passed in from outside may be asymmetric
     g_theta = (n / s) * _linearized_core(
         fmap, theta, batch, y_batch, batch.Z @ (M + M.T), float(np.trace(M)), n
     )
@@ -211,7 +212,7 @@ def _primal_grads(
         + (penalty / norm) * B
         - (penalty * (n / s) * inner / norm**3) * A
     )
-    return g_theta, symmetrize(g_A), info_sum
+    return g_theta, g_A, info_sum
 
 
 def _dual_grad(
@@ -269,6 +270,7 @@ def project_primal(
         np.clip(theta.feature_params.flat, -coord_bound, coord_bound)
     )
 
+    # kept: A may come from outside, and a step's g_A carries chol_inverse's asymmetry
     A = symmetrize(zeta.info_surrogate)
     shifted = A.copy()
     diagonal(shifted)[...] -= s2
@@ -282,6 +284,7 @@ def _clamp_eigs(A: np.ndarray, lo: float, hi: float | None = None) -> np.ndarray
     """Symmetric A with its eigenvalues clipped to [lo, hi] (no cap for hi=None)."""
     vals, vecs = np.linalg.eigh(A)
     np.clip(vals, lo, hi, out=vals)
+    # kept: the (i, j) and (j, i) products of the reconstruction round differently
     return symmetrize((vecs * vals) @ vecs.T)
 
 
@@ -406,7 +409,7 @@ def scgd_step(
     g = _linearized_core(fmap, theta, fb, _rows(y, batch), ZM, float(np.sum(Li * Li)), n)
     theta_next = _descend(theta, g, a_t, sigma_min)
 
-    tracked = symmetrize((1.0 - b_t) * F + b_t * _batch_info(Z, n, theta.noise_variance))
+    tracked = (1.0 - b_t) * F + b_t * _batch_info(Z, n, theta.noise_variance)
     return SCGDState(theta_next, tracked, state.step + 1)
 
 
@@ -443,6 +446,7 @@ def bsgd_step(
             % (exc, float(np.max(np.abs(fb.Z))), shift),
         )
         raise
+    # M + M^T, not 2 M: chol_inverse's gemm is not always exactly symmetric
     g = _linearized_core(
         fmap, theta, fb, _rows(y, batch), fb.Z @ (M + M.T), float(np.trace(M)), n
     )

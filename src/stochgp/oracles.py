@@ -228,7 +228,7 @@ def minimax_batch_grads(
     X_batch = np.asarray(X_batch, dtype=np.float64)
     n, s = int(n_total), X_batch.shape[0]
     g_theta, g_A, info_sum = _primal_grads(fmap, zeta, B, X_batch, y_batch, n, penalty)
-    return g_theta, g_A, _dual_grad(zeta.info_surrogate, info_sum, n, s, penalty)
+    return g_theta, symmetrize(g_A), _dual_grad(zeta.info_surrogate, info_sum, n, s, penalty)
 
 
 def rff_trig_error(arguments: np.ndarray) -> float:

@@ -11,7 +11,17 @@ import scipy.linalg
 from hypothesis import given, settings
 
 import stochgp
-from stochgp._linalg import _syrk, chol_lower, chol_solve, frobenius, gram, tri_inverse_lower
+from stochgp._linalg import (
+    _syrk,
+    chol_lower,
+    chol_solve,
+    diagonal,
+    frobenius,
+    gram,
+    gram_upper,
+    mirror_upper,
+    tri_inverse_lower,
+)
 
 
 class TestGram:
@@ -59,6 +69,41 @@ class TestGram:
         ref = ref + np.triu(ref, 1).T
         ref[np.diag_indices(d)] += shift
         assert np.array_equal(gram(Z, shift), ref)
+
+    @settings(max_examples=150)
+    @given(
+        d=st.sampled_from([1, 2, 5, 12, 17, 31, 40]),
+        rows=st.lists(st.integers(0, 60), min_size=1, max_size=5),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        shift=st.just(0.0) | st.floats(1e-6, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_summed_triangles_mirrored_once_equal_the_summed_grams(
+        self, d, rows, layout, shift, seed
+    ):
+        # how a pass over row blocks forms Z^T Z + s2 I: one mirror of the
+        # summed triangles must give the per-block grams' sum plus the shift,
+        # bit for bit. d = 12, 17 and 31 are shapes at which syrk's lower and
+        # upper triangles differ, so only the upper one is ever read
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for s in rows:
+            base = rng.normal(size=(2 * s, 2 * d)) * 10.0 ** rng.uniform(-3, 3, size=(2 * s, 1))
+            blocks.append(
+                {
+                    "C": np.ascontiguousarray(base[:s, :d]),
+                    "F": np.asfortranarray(base[:s, :d]),
+                    "strided": base[::2, ::2],
+                }[layout]
+            )
+        F = gram_upper(blocks[0])
+        ref = gram(blocks[0])
+        for Z in blocks[1:]:
+            F += gram_upper(Z)
+            ref += gram(Z)
+        diagonal(ref)[...] += shift
+        got = mirror_upper(F, shift)
+        assert got.tobytes(order="F") == ref.tobytes(order="F")
 
     def test_no_rows_give_the_shift_without_a_blas_complaint(self):
         # OpenBLAS writes its argument errors to file descriptor 2, past

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 
 import stochgp._linalg
+import stochgp.objective
+import stochgp.optim
 from instances import feasible_surrogate, instance
-from stochgp._linalg import NotPositiveDefiniteError, symmetrize
+from stochgp._linalg import NotPositiveDefiniteError, diagonal, gram, symmetrize
 from stochgp.features import LinearMap, MLPMap, MLPSpec
 from stochgp.harness import _Evaluator
-from stochgp.objective import HyperParams, info_matrix
+from stochgp.objective import HyperParams, _row_blocks, info_matrix
 from stochgp.optim import (
     AugmentedState,
     MinimaxConfig,
@@ -591,6 +593,41 @@ class TestSCGD:
         with pytest.raises(ValueError, match="non-negative"):
             scgd_step(fmap, state, X, y, np.array([0]), a_t=-1e-3, b_t=0.5)
 
+    @settings(max_examples=40)
+    @given(
+        d=st.sampled_from([1, 2, 5, 17]),
+        indefinite=st.booleans(),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_reads_only_the_trackers_lower_triangle(self, d, indefinite, scale, seed):
+        # potrf and eigh read the lower triangle, and the step does not
+        # symmetrize the tracker it returns, so what lies above the diagonal
+        # of the incoming tracker reaches neither theta nor the new tracker's
+        # lower triangle. A lowered diagonal takes the step through the floor
+        fmap, theta, X, y = instance(seed, 30, p=3, hidden=8, d=d)
+        rng = np.random.default_rng(seed)
+        F = info_matrix(fmap, theta, X)
+        if indefinite:
+            diagonal(F)[...] -= float(np.trace(F)) / d
+        upper = np.triu_indices(d, 1)
+        P = F.copy()
+        P[upper] += scale * rng.normal(size=len(upper[0])) * (1.0 + np.abs(P[upper]))
+        batch = rng.integers(0, 30, size=8)
+
+        def step(tracker):
+            try:
+                return scgd_step(fmap, SCGDState(theta, tracker, 2), X, y, batch, 1e-3, 0.5)
+            except NotPositiveDefiniteError as exc:
+                return str(exc)
+
+        a, b = step(F), step(P)
+        if isinstance(a, str):
+            assert a == b
+            return
+        assert np.array_equal(a.theta.flat, b.theta.flat)
+        assert np.array_equal(np.tril(a.tracked_info), np.tril(b.tracked_info))
+
 
 class TestBSGD:
     def test_full_batch_is_whole_loss_gradient(self):
@@ -661,6 +698,34 @@ class TestExactnessProperties:
         assert coincidence_gap(*instance(seed, n, kind, sigma2=sigma2), 1e-2) <= 1e-12
 
 
+class TestExactSymmetry:
+    @settings(max_examples=12)
+    @given(
+        d=st.sampled_from([1, 2, 5, 17, 95, 255]),
+        dual_start=st.sampled_from(["zero", "drawn"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=95, dual_start="drawn", seed=0)
+    @example(d=255, dual_start="zero", seed=1)
+    def test_step_matrices_stay_exactly_symmetric(self, d, dual_start, seed):
+        # no step symmetrizes what it returns but minimax's projection, so this
+        # pins symmetry where each matrix is made. At d = 95 and 255 the inverse
+        # chol_inverse forms is not always exactly symmetric itself
+        fmap, theta, X, y = instance(seed, 40, p=3, hidden=8, d=d)
+        rng = np.random.default_rng(seed)
+        batches = [rng.integers(0, 40, size=8) for _ in range(6)]
+        zeta, B = minimax_init(fmap, theta, X)
+        if dual_start == "drawn":
+            B = project_dual_ball(symmetrize(rng.normal(size=(d, d))))
+        state = scgd_init(fmap, theta, X)
+        cfg = MinimaxConfig(primal_rate=1e-3, dual_rate=1e-1)
+        for t in range(3):
+            zeta, B = minimax_step(fmap, zeta, B, X, y, batches[2 * t], batches[2 * t + 1], cfg)
+            state = scgd_step(fmap, state, X, y, batches[t], 1e-3, 0.5)
+            for M in (zeta.info_surrogate, B, state.tracked_info):
+                assert np.array_equal(M, M.T)
+
+
 class TestCallBudget:
     """LAPACK/BLAS calls per step and per evaluation, counted at the kernel handles.
 
@@ -670,13 +735,25 @@ class TestCallBudget:
     """
 
     KERNELS = ("_potrf", "_trtri", "_potrs", "_gemm", "_syrk")
-    # calls of (potrf, trtri, potrs, gemm, syrk, np.linalg.eigh) per call of the caller
+    # calls of (potrf, trtri, potrs, gemm, syrk, np.linalg.eigh, optim.symmetrize)
+    # per call of the caller; minimax's one symmetrize is its projection's
     BUDGET = {
-        "minimax": (2, 1, 0, 1, 2, 0),
-        "scgd": (1, 1, 1, 0, 1, 0),
-        "bsgd": (1, 1, 0, 1, 1, 0),
-        "evaluation": (1, 1, 1, 1, 1, 0),
+        "minimax": (2, 1, 0, 1, 2, 0, 1),
+        "scgd": (1, 1, 1, 0, 1, 0, 0),
+        "bsgd": (1, 1, 0, 1, 1, 0, 0),
+        "evaluation": (1, 1, 1, 1, 1, 0, 0),
     }
+
+    @staticmethod
+    def count_calls(monkeypatch, counts, owner, name):
+        """Replace owner.name by a wrapper that counts its calls in counts[name]."""
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
 
     @pytest.mark.parametrize("caller", sorted(BUDGET))
     def test_calls_per_step(self, caller, monkeypatch):
@@ -705,18 +782,33 @@ class TestCallBudget:
         }[caller]
 
         counts = Counter()
-
-        def counting(name, fn):
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return counted
-
         for name in self.KERNELS:
-            monkeypatch.setattr(stochgp._linalg, name, counting(name, getattr(stochgp._linalg, name)))
-        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+            self.count_calls(monkeypatch, counts, stochgp._linalg, name)
+        self.count_calls(monkeypatch, counts, np.linalg, "eigh")
+        self.count_calls(monkeypatch, counts, stochgp.optim, "symmetrize")
         for t in range(steps):
             state = advance(state, t)
-        got = tuple(counts[name] / steps for name in self.KERNELS + ("eigh",))
+        got = tuple(counts[name] / steps for name in self.KERNELS + ("eigh", "symmetrize"))
         assert got == self.BUDGET[caller]
+
+    def test_a_three_block_pass_mirrors_once(self, monkeypatch):
+        # blocks of 14 rows split 40 rows into three; their triangles are
+        # summed and mirrored once, and F is still the blocks' grams summed
+        fmap, theta, X, y = instance(41, 40, p=3, hidden=8, d=5)
+        monkeypatch.setattr(stochgp.objective, "BLOCK_FLOATS", 5 * 14)
+        blocks = _row_blocks(40, 5)
+        assert len(blocks) == 3
+        grams = [gram(fmap.forward(theta.feature_params, X[rows]).Z) for rows in blocks]
+        ref = grams[0]
+        for G in grams[1:]:
+            ref += G
+        diagonal(ref)[...] += theta.noise_variance
+        counts = Counter()
+        # gram in _linalg and _ridge_system in objective each call their module's name
+        for module in (stochgp._linalg, stochgp.objective):
+            self.count_calls(monkeypatch, counts, module, "mirror_upper")
+        F = info_matrix(fmap, theta, X)
+        assert counts["mirror_upper"] == 1
+        assert np.array_equal(F, ref)
+        _Evaluator(fmap, X, y).nll(theta)
+        assert counts["mirror_upper"] == 2
