@@ -238,17 +238,17 @@ class MLPMap(FeatureMap):
         pre1 = X @ w1.T + b1
         hidden = np.maximum(pre1, 0.0)
         Z = hidden @ w2.T + b2
-        cache = {"X": X, "mask": pre1 > 0.0, "hidden": hidden}
-        return FeatureBatch(Z, cache, params)
+        return FeatureBatch(Z, {"X": X, "hidden": hidden}, params)
 
     def backward_with_inputs(self, params, batch, upstream):
         _check_cache(params, batch)
         U = np.asarray(upstream, dtype=np.float64)
-        X, mask, hidden = batch.cache["X"], batch.cache["mask"], batch.cache["hidden"]
+        X, hidden = batch.cache["X"], batch.cache["hidden"]
         w1, w2 = params.get("w1"), params.get("w2")
         g_w2 = U.T @ hidden
         g_b2 = U.sum(axis=0)
-        back_hidden = (U @ w2) * mask
+        # hidden = max(pre1, 0), so hidden > 0 is pre1 > 0, NaN rows included
+        back_hidden = (U @ w2) * (hidden > 0.0)
         g_w1 = back_hidden.T @ X
         g_b1 = back_hidden.sum(axis=0)
         g_inputs = back_hidden @ w1

@@ -45,7 +45,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Literal, NamedTuple, get_args
+from typing import Literal, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -99,9 +99,7 @@ DEFAULT_GRID = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 RESULTS_DIR_ENV = "STOCHGP_RESULTS_DIR"
 GRAD_DIVERGENCE_NORM = 1e12
 Optimizer = Literal["minimax", "scgd", "bsgd"]
-MapKind = Literal["linear", "mlp", "mlp+rff"]
 OPTIMIZERS = get_args(Optimizer)
-MAP_KINDS = get_args(MapKind)
 
 
 @dataclass(frozen=True)
@@ -135,23 +133,23 @@ class SynthSpec:
 def gen_synthetic(spec: SynthSpec, draw_seed: int | None = None):
     """Sample (Dataset, truth dict) with y ~ N(0, Z Z^T + sigma2 I).
 
-    The inputs and the generating map derive from ``spec.seed``; the target
-    draw uses the same stream unless ``draw_seed`` pins an independent one
-    (useful for redrawing targets against a fixed covariance).
+    Drawn in weight space, y = Z g + sqrt(sigma2) e with d normals g then n
+    normals e: the law of a draw through the n x n covariance's factor, at
+    O(n d) cost, though a seed gives other targets than that draw. Inputs and
+    map derive from ``spec.seed``; g and e come from the same stream unless
+    ``draw_seed`` pins an independent one (to redraw against a fixed covariance).
     """
     rng = np.random.default_rng(spec.seed)
     X = rng.normal(size=(spec.n, spec.p))
     if spec.map_kind == "linear":
         fmap: FeatureMap = LinearMap(spec.p)
-        params = fmap.init_params(spec.seed)
     else:
         fmap = MLPMap(MLPSpec(spec.p, (spec.mlp_hidden, spec.d)))
-        params = fmap.init_params(spec.seed)
+    params = fmap.init_params(spec.seed)
     Z = fmap.forward(params, X).Z
-    C = Z @ Z.T + spec.sigma2 * np.eye(spec.n)
-    L = chol_lower(C, "synthetic covariance")
     y_rng = rng if draw_seed is None else np.random.default_rng(draw_seed)
-    y = L @ y_rng.standard_normal(spec.n)
+    g = y_rng.standard_normal(spec.d)
+    y = Z @ g + math.sqrt(spec.sigma2) * y_rng.standard_normal(spec.n)
     names = tuple("c%d" % j for j in range(spec.p))
     truth = {
         "map_kind": spec.map_kind,
@@ -173,7 +171,7 @@ class ExperimentConfig:
     data_path: str | None = None
     target: str = "target"
     synth: SynthSpec | None = None
-    feature_map: MapKind = "linear"
+    feature_map: Literal["linear", "mlp", "mlp+rff"] = "linear"
     mlp_hidden: int = 128
     mlp_out: int = 128
     rff_dim: int = 1000
@@ -204,10 +202,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.data_path is None) == (self.synth is None):
             raise ValueError("exactly one of data_path and synth must be set")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError("optimizer must be one of %s" % (OPTIMIZERS,))
-        if self.feature_map not in MAP_KINDS:
-            raise ValueError("feature_map must be one of %s" % (MAP_KINDS,))
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError("%s must be one of %s" % (name, choices))
         if self.feature_map == "mlp+rff" and (self.rff_dim < 2 or self.rff_dim % 2):
             raise ValueError(
                 "rff_dim must be a positive even number, got %d: random features"
@@ -219,10 +216,6 @@ class ExperimentConfig:
             raise ValueError("batch_size must be at least 1")
         if not self.grid:
             raise ValueError("learning-rate grid must be non-empty")
-        if self.schedule not in ("constant", "polynomial"):
-            raise ValueError("schedule must be 'constant' or 'polynomial'")
-        if self.batch_mode not in ("replacement", "shuffle"):
-            raise ValueError("batch_mode must be 'replacement' or 'shuffle'")
         scalars = [("learning_rate", self.learning_rate)] if self.learning_rate is not None else []
         scalars += [("grid rate", rate) for rate in self.grid]
         scalars += [(name, getattr(self, name)) for name in ("b0", "init_sigma2", "rff_u1", "rff_u2")]
@@ -267,6 +260,12 @@ class ExperimentConfig:
             rate,
             self.split_seed,
         )
+
+
+# the Literal-typed fields and their values, from the hints stochgp.cli reads
+_CHOICES = {
+    k: get_args(t) for k, t in get_type_hints(ExperimentConfig).items() if get_origin(t) is Literal
+}
 
 
 @dataclass

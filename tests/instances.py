@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from stochgp._linalg import chol_lower
 from stochgp.features import LinearMap, MLPMap, MLPSpec, compose, rff_init
 from stochgp.objective import HyperParams
 
@@ -25,3 +26,30 @@ def feasible_surrogate(rng, d, sigma2, spread=1.0):
     """G G^T + (sigma2 + spread) I for a standard normal d x d G: inside the surrogate's cone."""
     G = rng.normal(size=(d, d))
     return G @ G.T + (sigma2 + spread) * np.eye(d)
+
+
+def covariance_draw_csv(spec, directory):
+    """Write spec's draw through the n x n covariance factor as a CSV; return its path.
+
+    The inputs and map are those of ``gen_synthetic(spec)``, and the targets
+    are y = L e, with L the Cholesky factor of Z Z^T + sigma2 I and e the
+    stream's next n normals: bit for bit the draw that ``gen_synthetic``
+    made before it drew in weight space. The tests whose stored records came
+    from that draw read it through ``data_path``. It is O(n^2) in memory, so
+    keep n at test scale (at most 200).
+    """
+    assert spec.n <= 200
+    rng = np.random.default_rng(spec.seed)
+    X = rng.normal(size=(spec.n, spec.p))
+    if spec.map_kind == "linear":
+        fmap = LinearMap(spec.p)
+    else:
+        fmap = MLPMap(MLPSpec(spec.p, (spec.mlp_hidden, spec.d)))
+    Z = fmap.forward(fmap.init_params(spec.seed), X).Z
+    L = chol_lower(Z @ Z.T + spec.sigma2 * np.eye(spec.n), "synthetic covariance")
+    y = L @ rng.standard_normal(spec.n)
+    path = directory / (spec.label() + ".csv")
+    header = ",".join(["c%d" % j for j in range(spec.p)] + ["target"])
+    table = np.column_stack([X, y])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    return str(path)

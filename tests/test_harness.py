@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import stochgp.objective
+from instances import covariance_draw_csv
 from stochgp._linalg import spd_inverse
 from stochgp.data import load_csv, split, standardize
 from stochgp.features import LinearMap, MLPMap, MLPSpec, compose, rff_init
@@ -103,6 +104,36 @@ class TestGenSynthetic:
         emp = (draws.T @ draws) / reps
         se = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / reps)
         assert np.all(np.abs(emp - C) <= 3.0 * se)
+
+    @settings(max_examples=60)
+    @given(
+        mlp=st.booleans(),
+        n=st.integers(1, 40),
+        p=st.integers(1, 5),
+        hidden=st.integers(1, 6),
+        d=st.integers(1, 8),
+        sigma2=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+        draw_seed=st.none() | st.integers(0, 2**32 - 1),
+    )
+    def test_targets_are_the_weight_space_draw(self, mlp, n, p, hidden, d, sigma2, seed, draw_seed):
+        # y = Z g + sqrt(sigma2) e, with g the first d and e the next n normals
+        # of the target stream: spec.seed's after the inputs, or draw_seed's
+        kind = "mlp" if mlp else "linear"
+        d = d if mlp else p
+        spec = SynthSpec(n=n, p=p, d=d, sigma2=sigma2, map_kind=kind, seed=seed, mlp_hidden=hidden)
+        data, truth = gen_synthetic(spec, draw_seed)
+        fmap = MLPMap(MLPSpec(p, (hidden, d))) if mlp else LinearMap(p)
+        params = fmap.params_from_flat(np.asarray(truth["feature_flat"]))
+        Z = fmap.forward(params, data.features).Z
+        if draw_seed is None:
+            stream = np.random.default_rng(seed)
+            stream.normal(size=(n, p))  # the inputs
+        else:
+            stream = np.random.default_rng(draw_seed)
+        g = stream.standard_normal(d)
+        e = stream.standard_normal(n)
+        np.testing.assert_array_equal(data.targets, Z @ g + math.sqrt(sigma2) * e)
 
 
 class TestExperimentConfig:
@@ -252,6 +283,10 @@ class TestDrawEpoch:
         assert np.all(np.abs(freq - 0.25) < 3 * se), freq
 
 
+# the log-u1 overflow recipe's data, read as its covariance-factor draw
+RECIPE_SPEC = SynthSpec(n=200, p=3, d=3, sigma2=0.3, seed=5)
+
+
 def _small_cfg(**overrides):
     base = dict(
         synth=SynthSpec(n=120, p=4, d=4, sigma2=0.5, seed=3),
@@ -334,10 +369,10 @@ class TestRunExperiment:
         assert rec.epochs[-1]["nll"] == math.inf
         assert math.isnan(rec.test_rmse_marginal)
 
-    def test_rff_scale_overflow_is_recorded_as_diverged(self):
+    def test_rff_scale_overflow_is_recorded_as_diverged(self, tmp_path):
         # minimax at this rate steps log u1 past ~709, where exp overflows
         cfg = ExperimentConfig(
-            synth=SynthSpec(n=200, p=3, d=3, sigma2=0.3, seed=5),
+            data_path=covariance_draw_csv(RECIPE_SPEC, tmp_path),
             feature_map="mlp+rff",
             mlp_hidden=4,
             mlp_out=3,
@@ -354,10 +389,10 @@ class TestRunExperiment:
         assert rec.diverged
         assert rec.best_nll == math.inf
 
-    def test_diverge_reason_names_the_failing_step(self):
+    def test_diverge_reason_names_the_failing_step(self, tmp_path):
         # the log-u1 overflow recipe above: the step that raises says why
         cfg = ExperimentConfig(
-            synth=SynthSpec(n=200, p=3, d=3, sigma2=0.3, seed=5),
+            data_path=covariance_draw_csv(RECIPE_SPEC, tmp_path),
             feature_map="mlp+rff",
             mlp_hidden=4,
             mlp_out=3,
@@ -383,11 +418,11 @@ class TestRunExperiment:
         # an evaluation failure counts at the epoch's last step: 108 rows, batch 8
         assert rec.diverge_step == 14 * rec.diverge_epoch
 
-    def test_scgd_blow_up_names_its_overflow(self):
+    def test_scgd_blow_up_names_its_overflow(self, tmp_path):
         # scgd has no coordinate box: its step overflows under the step
         # loop's errstate, and the reason is that overflow, not a later symptom
         cfg = ExperimentConfig(
-            synth=SynthSpec(n=60, p=2, d=2, sigma2=0.5, seed=0),
+            data_path=covariance_draw_csv(SynthSpec(n=60, p=2, d=2, sigma2=0.5, seed=0), tmp_path),
             feature_map="mlp",
             mlp_hidden=3,
             mlp_out=3,
@@ -557,9 +592,10 @@ class TestRunExperiment:
         assert abs(scgd_best - full_best) <= 0.05
 
 
-# best_nll and best weights of three two-epoch runs. They pin the arithmetic of
+# best_nll and best weights of five two-epoch runs. They pin the arithmetic of
 # the step rules: a change that keeps it reproduces them to rounding, and one
-# that alters it must say how the records moved and record them again
+# that alters it must say how the records moved and record them again. Their
+# data is GOLDEN_SPEC's covariance-factor draw (instances.covariance_draw_csv)
 GOLDEN_SPEC = SynthSpec(n=40, p=2, d=3, sigma2=0.5, map_kind="mlp", mlp_hidden=4, seed=11)
 GOLDEN = {
     "minimax": (
@@ -600,10 +636,15 @@ GOLDEN = {
 
 class TestGoldenRecords:
     @pytest.mark.parametrize("case", sorted(GOLDEN))
-    def test_records_are_unchanged(self, case):
+    def test_records_are_unchanged(self, case, tmp_path):
         overrides, nll, weights = GOLDEN[case]
         base = dict(
-            synth=GOLDEN_SPEC, feature_map="mlp", mlp_hidden=3, mlp_out=4, batch_size=8, epochs=2
+            data_path=covariance_draw_csv(GOLDEN_SPEC, tmp_path),
+            feature_map="mlp",
+            mlp_hidden=3,
+            mlp_out=4,
+            batch_size=8,
+            epochs=2,
         )
         rec = run_experiment(ExperimentConfig(**{**base, **overrides}))
         assert not rec.diverged
@@ -691,6 +732,32 @@ class TestBlockedPasses:
         # whole-matrix passes peak at about 8x more on 8x the rows
         small, large = self._peak_bytes(2048), self._peak_bytes(16384)
         assert large <= 1.3 * small, (small, large)
+
+    def test_whole_run_peak_grows_as_the_data(self):
+        # one epoch of scgd on test_05's data and map shape; the first run
+        # warms one-time allocations. From 1024 to 4096 rows the peak grew by
+        # 4.9x the growth of the data's own bytes (n (p + 1) float64s); a draw
+        # through the n x n covariance and its factor made that about 600x
+        def peak(n):
+            cfg = ExperimentConfig(
+                synth=SynthSpec(n=n, p=16, d=16, sigma2=16.0),
+                feature_map="mlp",
+                mlp_hidden=4,
+                mlp_out=16,
+                optimizer="scgd",
+                epochs=1,
+                learning_rate=1e-3,
+            )
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)
+        small, large = peak(1024), peak(4096)
+        assert large - small <= 6 * (4096 - 1024) * 17 * 8, (small, large)
 
     @settings(max_examples=60)
     @given(
