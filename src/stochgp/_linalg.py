@@ -20,17 +20,33 @@ way ``scipy.linalg._flapack`` is the module bound here and
 ``get_lapack_funcs``/``get_blas_funcs`` return the very objects bound here.
 Run records depend on both BLAS builds: these kernels run on scipy's, and
 every ``@`` in the package (features, objective, optim, harness) on numpy's.
-The same loader gives :mod:`stochgp.features` scipy's Sobol engine,
-``scipy.stats._sobol``, without the ``scipy.stats`` package.
+
+An extension that imports its siblings by relative import, as
+``scipy.special._ufuncs`` imports ``_ufuncs_cxx``, ``_special_ufuncs``,
+``_gufuncs`` and ``_ellip_harm_2``, needs its package in ``sys.modules``.
+So while scipy.<package> is not imported, ``_extension`` runs the
+extension under a bare placeholder: a module named scipy.<package> whose
+``__path__`` is the package directory and which runs none of its code. The
+placeholder leaves ``sys.modules`` when the load ends, and every
+scipy.<package>.* module the load pulled in is handed over with the
+extension, so a later import of the package binds those same objects. A
+load that raises takes the placeholder, the extension and its siblings out
+of ``sys.modules`` again, so a later import of the package does not get a
+half-initialised module back. The same loader gives
+:mod:`stochgp.features` scipy's Sobol engine, ``scipy.stats._sobol``, and
+``ndtri`` from ``scipy.special._ufuncs``, without the ``scipy.stats`` or
+``scipy.special`` packages.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import scipy
@@ -61,6 +77,10 @@ class _Handoff(dict):
     such as ``scipy.linalg`` is about to be imported, the extensions loaded
     here under it (keyed by full name) leave ``sys.modules``, and its own
     import of them gets the same module objects back from this loader, once.
+    Such a module is not run again; in place of its run, the modules loaded
+    here beside it (a sibling that its first run imported, such as
+    ``scipy.special._ufuncs_cxx``) are imported, so the package binds them
+    too even where its own ``__init__`` never names them.
     """
 
     def find_spec(self, name, path=None, target=None):
@@ -75,7 +95,9 @@ class _Handoff(dict):
         return self.pop(spec.name)
 
     def exec_module(self, module):
-        pass
+        package = module.__name__.rpartition(".")[0]
+        for sibling in [key for key in self if key.rpartition(".")[0] == package]:
+            import_module(sibling)
 
 
 _HANDOFF = _Handoff()
@@ -83,8 +105,15 @@ sys.meta_path.insert(0, _HANDOFF)
 
 
 def _extension(package: str, name: str):
-    """scipy.<package>.<name>, loaded from its compiled file without running scipy.<package>."""
-    full = "scipy.%s.%s" % (package, name)
+    """scipy.<package>.<name>, loaded from its compiled file without running scipy.<package>.
+
+    If scipy.<package> is not imported yet, the extension runs under a bare
+    placeholder for it, which is removed afterwards; every scipy.<package>.*
+    module the load pulled in is handed over to a later import of the
+    package. A load that raises leaves none of them behind.
+    """
+    parent = "scipy." + package
+    full = "%s.%s" % (parent, name)
     if full in sys.modules:
         return sys.modules[full]
     where = Path(scipy.__path__[0], package)
@@ -96,10 +125,20 @@ def _extension(package: str, name: str):
         raise ImportError(
             "no %s extension file (%s) in %s" % (name, " or ".join(EXTENSION_SUFFIXES), where)
         )
-    spec = spec_from_file_location(full, path, loader=ExtensionFileLoader(full, str(path)))
-    module = module_from_spec(spec)
-    sys.modules[full] = _HANDOFF[full] = module
-    spec.loader.exec_module(module)
+    before = set(sys.modules)
+    if parent not in before:
+        sys.modules[parent] = ModuleType(parent)
+        sys.modules[parent].__path__ = [str(where)]
+    try:
+        spec = spec_from_file_location(full, path, loader=ExtensionFileLoader(full, str(path)))
+        module = sys.modules[full] = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        new = [key for key in set(sys.modules) - before if key.split(".")[:2] == ["scipy", package]]
+        loaded = {key: sys.modules.pop(key) for key in new}
+    loaded.pop(parent, None)
+    sys.modules.update(loaded)
+    _HANDOFF.update(loaded)
     return module
 
 

@@ -229,6 +229,9 @@ def cmd_grid(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     print("best rate %g (best-epoch NLL %.6f)" % (best_rate, best.best_nll))
+    edge = harness.grid_edge(cfg.grid, best_rate)
+    if edge:
+        print("best rate is the %s in the grid: a rate beyond it may do better" % edge)
     for path in written:
         print("wrote %s" % path)
     return 0

@@ -24,12 +24,15 @@ numpy; the projection onto the frequencies is one gemv per row, so a row's
 features do not depend on which other rows share its call.
 
 Importing this module loads numpy only. ``RFFMap`` draws its frequencies
-with scipy's compiled Sobol engine and ``scipy.special.ndtri``, which it
-loads when the first map is built, so only a random-feature run pays for
-them. The engine, ``scipy.stats._sobol``, comes from its file through the
-loader of :mod:`stochgp._linalg`, without the ``scipy.stats`` package: that
-package takes longer to import than a short linear or MLP run takes to
-train, and longer than a random-feature run's own steps.
+with scipy's compiled Sobol engine and ``ndtri``, which it loads when the
+first map is built, so only a random-feature run pays for them. Both come
+from their compiled files through the loader of :mod:`stochgp._linalg`:
+the engine is ``scipy.stats._sobol``, loaded without the ``scipy.stats``
+package, which takes longer to import than a short linear or MLP run takes
+to train; ``ndtri`` is the ufunc of ``scipy.special._ufuncs``, the very
+object ``scipy.special.ndtri`` is, loaded without the ``scipy.special``
+package, whose import would be about half of a random-feature run's
+start-up.
 """
 
 from __future__ import annotations
@@ -256,21 +259,23 @@ class MLPMap(FeatureMap):
         return grad, g_inputs
 
 
-def _sobol_error(what: str) -> RuntimeError:
+def _draw_error(what: str) -> RuntimeError:
     import scipy
 
     return RuntimeError(
-        "scipy %s: %s; RFFMap draws its frequencies with the private Sobol engine"
-        " scipy.stats._sobol as scipy 1.17 lays it out" % (scipy.__version__, what)
+        "scipy %s: %s; RFFMap draws its frequencies with scipy.stats._sobol and"
+        " scipy.special._ufuncs as scipy 1.17 lays them out" % (scipy.__version__, what)
     )
 
 
-def _sobol_points(q: int, m: int, seed: int) -> np.ndarray:
-    """The first m points of a scrambled Sobol sequence on [0, 1)^q, seeded.
+def _frequencies(q: int, m: int, seed: int) -> np.ndarray:
+    """m standard normal rows in q dimensions from a scrambled Sobol sequence, seeded.
 
-    Bit for bit ``qmc.Sobol(q, scramble=True, rng=np.random.default_rng(seed))
-    .random_base2(k)[:m]`` for any k with 2^k >= m, drawn as that engine
-    draws them but through its compiled module alone. The engine loads its
+    The points are bit for bit ``qmc.Sobol(q, scramble=True,
+    rng=np.random.default_rng(seed)).random_base2(k)[:m]`` for any k with
+    2^k >= m, drawn as that engine draws them but through its compiled
+    module alone; squeezed by 1e-10 away from 0 and 1, they go through
+    ``ndtri`` from ``scipy.special._ufuncs``. The engine loads its
     direction numbers on first use through ``importlib.resources``, which
     imports ``scipy.stats``; its cache is seeded here from the same file
     instead. Its functions do not raise on a bad argument (they print
@@ -282,12 +287,13 @@ def _sobol_points(q: int, m: int, seed: int) -> np.ndarray:
     from stochgp._linalg import _extension
 
     try:
+        ndtri = _extension("special", "_ufuncs").ndtri
         sobol = _extension("stats", "_sobol")
         caches = {"poly": sobol._poly_dict, "vinit": sobol._vinit_dict}
         initialize_v, cscramble, draw = sobol._initialize_v, sobol._cscramble, sobol._draw
         max_dim = sobol._MAXDIM
     except (ImportError, AttributeError) as exc:
-        raise _sobol_error(str(exc)) from exc
+        raise _draw_error(str(exc)) from exc
     if q > max_dim:
         raise ValueError("Sobol points have at most %d dimensions, got %d" % (max_dim, q))
     if any(np.uint32 not in cache for cache in caches.values()):
@@ -300,7 +306,7 @@ def _sobol_points(q: int, m: int, seed: int) -> np.ndarray:
     sv = np.zeros((q, bits), dtype=np.uint32)
     initialize_v(sv, dim=q, bits=bits)
     if not np.all(sv[:, 0] == 1 << (bits - 1)):
-        raise _sobol_error("_initialize_v left wrong direction numbers")
+        raise _draw_error("_initialize_v left wrong direction numbers")
     # the engine draws from a child of the generator it is given
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     # LMS+shift scramble: a random digital shift, then random lower-triangular
@@ -316,7 +322,7 @@ def _sobol_points(q: int, m: int, seed: int) -> np.ndarray:
     points = np.empty((m, q))
     points[0] = shift * scale
     draw(n=m - 1, num_gen=0, dim=q, scale=scale, sv=sv, quasi=shift.copy(), sample=points[1:])
-    return points
+    return ndtri(0.5 + (1.0 - 1e-10) * (points - 0.5))
 
 
 class RFFMap(FeatureMap):
@@ -353,8 +359,9 @@ class RFFMap(FeatureMap):
     points' low discrepancy makes a single draw far more accurate than iid
     frequencies of the same width. The draw is fixed by ``seed`` and equals
     ``qmc.Sobol(q, scramble=True, rng=np.random.default_rng(seed))``'s
-    (see ``_sobol_points``). The first map built in a process loads
-    ``scipy.special`` and ``scipy.stats._sobol``, not ``scipy.stats``.
+    (see ``_frequencies``). The first map built in a process loads
+    ``scipy.stats._sobol`` and ``scipy.special._ufuncs`` (with the
+    extensions that one imports), not ``scipy.stats`` or ``scipy.special``.
 
     Frequencies are divided by the length scale u1 at forward time, so u1
     stays differentiable while the draw itself is frozen. The learnable flat
@@ -382,11 +389,7 @@ class RFFMap(FeatureMap):
         self.seed = int(seed)
         self.init_u1 = float(init_u1)
         self.init_u2 = float(init_u2)
-        # imported here, not at the top: see the module docstring
-        from scipy.special import ndtri
-
-        points = _sobol_points(self.input_dim, self.output_dim // 2, self.seed)
-        self.frequencies = ndtri(0.5 + (1.0 - 1e-10) * (points - 0.5))
+        self.frequencies = _frequencies(self.input_dim, self.output_dim // 2, self.seed)
 
     def layout(self):
         return (("log_u1", 0, (1,)), ("log_u2", 1, (1,)))

@@ -89,6 +89,7 @@ __all__ = [
     "default_results_dir",
     "divergence_reasons",
     "gen_synthetic",
+    "grid_edge",
     "grid_search",
     "load_dataset",
     "run_experiment",
@@ -536,6 +537,10 @@ def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
                     nll = math.inf
         record.epochs.append({"epoch": epoch, "nll": nll, "wall_ms": wall_ms})
         if reason is not None:
+            # counted once, here: the step loop never looks at the bound
+            clamped = np.count_nonzero(np.abs(theta.flat) == cfg.coord_bound)
+            if clamped:
+                reason += "; %d parameters at coord_bound %g" % (clamped, cfg.coord_bound)
             record.diverged = True
             record.diverge_reason, record.diverge_epoch, record.diverge_step = reason, epoch, t
             break
@@ -578,6 +583,16 @@ def grid_search(cfg: ExperimentConfig, on_record=None) -> tuple[float, RunRecord
     if best_record is None or not math.isfinite(best_record.best_nll):
         raise RuntimeError("all learning rates in the grid diverged")
     return best_rate, best_record
+
+
+def grid_edge(grid, rate: float) -> str | None:
+    """Which end of a grid of 2 or more rates ``rate`` is: "smallest", "largest" or None.
+
+    A best rate at an end of its grid is bracketed from one side only: a
+    rate beyond that end, which the sweep did not try, may do better.
+    """
+    ends = {min(grid): "smallest", max(grid): "largest"}
+    return ends.get(rate) if len(ends) > 1 else None
 
 
 def write_run(record: RunRecord, out_dir, name: str) -> tuple[Path, Path]:

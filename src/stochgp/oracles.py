@@ -577,7 +577,7 @@ def self_checks():
     gap = coincidence_gap(fmap, theta, X, y, 1e-3)
     yield "full-batch optimizer coincidence", gap < 1e-12, "direction gap %.2e" % gap
 
-    # maps first: in a fresh process they draw before scipy.stats has loaded
+    # maps first: in a fresh process they draw before scipy.stats or scipy.special loads
     draws = ((1, 1, 0), (3, 5, 1), (16, 500, 2), (20, 256, 3))
     try:
         drawn = [RFFMap(q, 2 * m, seed).frequencies for q, m, seed in draws]

@@ -17,7 +17,7 @@ import pytest
 
 from instances import feasible_surrogate, instance
 from stochgp.features import LinearMap, MLPMap, MLPSpec, rff_init
-from stochgp.harness import ExperimentConfig, SynthSpec, grid_search
+from stochgp.harness import ExperimentConfig, SynthSpec, grid_edge, grid_search
 from stochgp.objective import HyperParams
 from stochgp.optim import (
     AugmentedState,
@@ -179,13 +179,15 @@ def test_05_small_batch_robustness_benchmark():
     gap_scgd = abs(best[("scgd", 8)] - best[("scgd", 2048)])
     gap_minimax = abs(best[("minimax", 8)] - best[("minimax", 2048)])
     margin_bsgd = best[("bsgd", 8)] - best[("bsgd", 2048)]
+    # cells whose best rate is an end of their grid, bracketed from one side only
+    edges = {"%s/s%d" % k: grid_edge(grids[k], rate) for k, rate in sorted(rates.items())}
     elapsed = time.perf_counter() - t0
     ok = gap_scgd <= 0.05 and gap_minimax <= 0.05 and margin_bsgd > 0.0 and elapsed < 600.0
     line = _report(
         ok,
         "05 small-batch robustness",
         "scgd |%.4f - %.4f| = %.4f, minimax |%.4f - %.4f| = %.4f (need <= 0.05); "
-        "bsgd margin %+.4f (need > 0); best rates %s (%.0fs, budget 600s)"
+        "bsgd margin %+.4f (need > 0); best rates %s; at a grid end %s (%.0fs, budget 600s)"
         % (
             best[("scgd", 8)],
             best[("scgd", 2048)],
@@ -195,6 +197,7 @@ def test_05_small_batch_robustness_benchmark():
             gap_minimax,
             margin_bsgd,
             {"%s/s%d" % k: v for k, v in sorted(rates.items())},
+            {cell: edge for cell, edge in edges.items() if edge} or "none",
             elapsed,
         ),
     )

@@ -387,7 +387,35 @@ class TestGridCommand:
         )
         assert code == 0
         assert len(list(out.glob("*.json"))) == 2
-        assert "best rate" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "best rate" in out
+        # of two rates, the best is always one end of the grid
+        assert "best rate is the " in out
+
+    @pytest.mark.parametrize(
+        "grid, chosen, edge",
+        [
+            ("1e-3,1e-2,1e-1", 1e-3, "smallest"),
+            ("1e-3,1e-2,1e-1", 1e-1, "largest"),
+            ("1e-3,1e-2,1e-1", 1e-2, None),
+            ("1e-2", 1e-2, None),
+        ],
+        ids=["smallest", "largest", "interior", "single"],
+    )
+    def test_best_rate_at_an_end_of_its_grid_is_flagged(
+        self, tmp_path, capsys, monkeypatch, grid, chosen, edge
+    ):
+        # a best rate at an end is bracketed from one side only
+        def sweep(cfg, on_record=None):
+            return chosen, harness.RunRecord(config={}, rate=chosen, best_nll=1.0)
+
+        monkeypatch.setattr(harness, "grid_search", sweep)
+        args = ["grid", "--synth", SYNTH, "--grid", grid, "--out", str(tmp_path)]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "best rate %g (best-epoch NLL 1.000000)" % chosen
+        flag = "best rate is the %s in the grid: a rate beyond it may do better" % edge
+        assert lines[1:] == ([flag] if edge else [])
 
     def test_all_diverged_exits_nonzero(self, tmp_path, capsys):
         code = main(

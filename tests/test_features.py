@@ -332,6 +332,26 @@ class TestRFF:
         with pytest.raises(RuntimeError, match=re.escape("scipy %s:" % scipy.__version__)):
             RFFMap(3, 8, seed=0)
 
+    @pytest.mark.parametrize("broken", ["unloadable", "missing"])
+    def test_ufuncs_without_ndtri_fail_naming_scipys_version(self, monkeypatch, broken):
+        import scipy
+
+        from stochgp import _linalg
+
+        if broken == "unloadable":
+            extension = _linalg._extension
+
+            def load(package, name):
+                if package == "special":
+                    raise ImportError("no %s extension file" % name)
+                return extension(package, name)
+
+            monkeypatch.setattr(_linalg, "_extension", load)
+        else:
+            monkeypatch.delattr(_extension("special", "_ufuncs"), "ndtri")
+        with pytest.raises(RuntimeError, match=re.escape("scipy %s:" % scipy.__version__)):
+            RFFMap(3, 8, seed=0)
+
     @settings(max_examples=60)
     @given(
         half=st.integers(1, 300),

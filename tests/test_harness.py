@@ -506,6 +506,29 @@ class TestRunExperiment:
         assert (rec.diverge_epoch, rec.diverge_step) == (1, step)
         assert rec.epochs[-1]["nll"] == math.inf
 
+    def test_minimax_blow_up_names_the_box(self):
+        # test_05's minimax/s8 cell at rate 1e-4: the projection holds every
+        # weight, MLP parameter and the noise variance at coord_bound, and
+        # the first evaluation cannot factor; the reason says so, once
+        cfg = ExperimentConfig(
+            synth=SynthSpec(n=2048, p=16, d=16, sigma2=16.0, seed=42),
+            feature_map="mlp",
+            mlp_hidden=4,
+            mlp_out=16,
+            optimizer="minimax",
+            batch_size=8,
+            epochs=2,
+            learning_rate=1e-4,
+            train_fraction=0.99,
+        )
+        rec = run_experiment(cfg)
+        # all 165: 16 weights, 16*4 + 4 + 4*16 + 16 MLP parameters, the noise variance
+        assert rec.diverge_reason == (
+            "non-finite NLL: NotPositiveDefiniteError: evaluation information matrix:"
+            " not positive definite (failing pivot 2); 165 parameters at coord_bound 1e+06"
+        )
+        assert (rec.diverge_epoch, rec.diverge_step) == (1, 254)
+
     def test_overflowing_step_names_the_floating_point_fault(self):
         # scgd at this rate overflows a matmul in the seventh step; the step
         # raises instead of warning and handing an inf to the next check

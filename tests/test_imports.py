@@ -1,10 +1,15 @@
-"""What importing the package loads: scipy.special only with a random-feature map.
+"""What importing the package loads: none of scipy's subpackages, whatever the run.
 
 The LAPACK/BLAS handles come from scipy's compiled extensions without the
 ``scipy.linalg`` package, and a random-feature map's Sobol engine from
-``scipy.stats._sobol`` without the ``scipy.stats`` package; whichever of
-scipy's packages loads first, there is one copy of each extension. A run
-never loads ``scipy.stats``, nor the reference computations of
+``scipy.stats._sobol`` and its ``ndtri`` from ``scipy.special._ufuncs``
+without the ``scipy.stats`` or ``scipy.special`` packages. ``_ufuncs``
+imports sibling extensions, so it loads under a placeholder for
+``scipy.special``, which leaves ``sys.modules`` afterwards. Whichever of
+scipy's packages loads first, there is one copy of each extension and its
+siblings, and a package imported later binds the ones stochgp loaded. A
+load that fails leaves nothing behind. A run never loads ``scipy.stats``,
+``scipy.special`` or ``scipy.linalg``, nor the reference computations of
 ``stochgp.oracles``, and no training module holds one of them.
 
 The benchmark under ``benchmarks/`` reaches into the program at named
@@ -119,6 +124,102 @@ print(json.dumps({
 }))
 """
 
+# scipy.special after a whole random-feature run: the extensions stochgp
+# loaded become its attributes, and its ndtri is the one the map drew with
+PROBE_SPECIAL_AFTER = """
+import json, sys
+import numpy as np
+from stochgp.features import RFFMap
+from stochgp.harness import ExperimentConfig, SynthSpec, run_experiment
+
+record = run_experiment(ExperimentConfig(
+    synth=SynthSpec(n=40, p=3, d=4, sigma2=0.5, map_kind="mlp", mlp_hidden=4),
+    feature_map="mlp+rff", mlp_hidden=4, mlp_out=4, rff_dim=16, optimizer="minimax",
+    batch_size=8, epochs=1, learning_rate=1e-3,
+))
+trained = "scipy.special" in sys.modules
+ours = {name: module for name, module in sys.modules.items() if name.startswith("scipy.special.")}
+ndtri = ours["scipy.special._ufuncs"].ndtri
+drawn = RFFMap(5, 2 * 12, seed=7).frequencies
+import scipy.special
+from scipy.stats import qmc
+points = qmc.Sobol(5, rng=np.random.default_rng(7)).random_base2(4)[:12]
+qmc_draw = scipy.special.ndtri(0.5 + (1.0 - 1e-10) * (points - 0.5))
+print(json.dumps({
+    "diverged": record.diverged,
+    "special_after_run": trained,
+    "loaded": sorted(ours),
+    "bound": [getattr(scipy.special, name.split(".")[-1]) is ours[name] for name in ours],
+    "same_ndtri": scipy.special.ndtri is ndtri,
+    "same_draw": bool(np.array_equal(drawn, qmc_draw)),
+}))
+"""
+
+# scipy.special first: RFFMap must reuse its _ufuncs, not load it again
+PROBE_SPECIAL_FIRST = """
+import json
+import scipy.special
+from stochgp import _linalg
+from stochgp.features import RFFMap
+
+RFFMap(3, 8, seed=0)
+print(json.dumps({
+    "same": _linalg._extension("special", "_ufuncs") is scipy.special._ufuncs,
+    "handed_over": sorted(name for name in _linalg._HANDOFF if name.startswith("scipy.special")),
+}))
+"""
+
+# a load whose extension raises, after pulling in a sibling under the
+# placeholder: nothing of scipy.special stays behind, and the package and a
+# map still load afterwards
+PROBE_FAILED_LOAD = """
+import importlib, json, sys
+from stochgp import _linalg
+
+class Broken(_linalg.ExtensionFileLoader):
+    def exec_module(self, module):
+        importlib.import_module("scipy.special._sf_error")
+        raise ImportError("broken on purpose")
+
+loader, _linalg.ExtensionFileLoader = _linalg.ExtensionFileLoader, Broken
+try:
+    _linalg._extension("special", "_ufuncs")
+    raised = None
+except ImportError as exc:
+    raised = str(exc)
+_linalg.ExtensionFileLoader = loader
+left = sorted(name for name in sys.modules if name.startswith("scipy.special"))
+handed = sorted(name for name in _linalg._HANDOFF if name.startswith("scipy.special"))
+import scipy.special
+from stochgp.features import RFFMap
+print(json.dumps({
+    "raised": raised,
+    "left": left,
+    "handed_over": handed,
+    "ndtri": float(scipy.special.ndtri(0.5)),
+    "map": RFFMap(3, 8, seed=0).frequencies.shape,
+}))
+"""
+
+# what building the first map adds to the peak RSS; numpy.random is imported
+# first, since every run loads it for its split and batches. The peak is this
+# process's own (VmHWM): on Linux a child's ru_maxrss starts at the peak of
+# the process it was started from, here the test runner's
+PROBE_RSS = """
+import json, re
+import numpy.random
+import stochgp.harness
+from stochgp.features import RFFMap
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
+
+before = peak_kb()
+RFFMap(16, 8, seed=0)
+print(json.dumps({"kb": peak_kb() - before}))
+"""
+
 PROBE_ORACLES = """
 import json, sys
 import stochgp, stochgp.harness, stochgp.cli
@@ -150,13 +251,52 @@ def _probe(code: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def test_scipy_special_loads_only_with_a_random_feature_map_and_scipy_stats_never():
+def test_no_run_loads_scipy_special_stats_or_linalg():
     report = _probe(PROBE)
     none = {"scipy.stats": False, "scipy.special": False, "scipy.linalg": False}
     assert report["imported"] == none
     assert report["trained"] == none
-    assert report["rff"] == {"scipy.stats": False, "scipy.special": True, "scipy.linalg": False}
+    assert report["rff"] == none
     assert report["same_handles"]
+
+
+def test_scipy_special_imported_after_a_random_feature_run_binds_the_same_extensions():
+    report = _probe(PROBE_SPECIAL_AFTER)
+    assert report.pop("loaded") == [
+        "scipy.special._ellip_harm_2",
+        "scipy.special._gufuncs",
+        "scipy.special._special_ufuncs",
+        "scipy.special._ufuncs",
+        "scipy.special._ufuncs_cxx",
+    ]
+    assert report.pop("bound") == [True] * 5
+    assert report == {
+        "diverged": False,
+        "special_after_run": False,
+        "same_ndtri": True,
+        "same_draw": True,
+    }
+
+
+def test_scipy_special_imported_first_lends_its_ufuncs():
+    assert _probe(PROBE_SPECIAL_FIRST) == {"same": True, "handed_over": []}
+
+
+def test_a_failed_load_leaves_no_module_behind():
+    assert _probe(PROBE_FAILED_LOAD) == {
+        "raised": "broken on purpose",
+        "left": [],
+        "handed_over": [],
+        "ndtri": 0.0,
+        "map": [4, 3],
+    }
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+def test_the_first_random_feature_map_adds_little_to_the_peak_rss():
+    # about 7 MB here (scipy.special._ufuncs and the Sobol engine's direction
+    # numbers); about 21 MB when the map imported the scipy.special package
+    assert _probe(PROBE_RSS)["kb"] < 8 * 1024
 
 
 def test_scipy_stats_imported_after_a_random_feature_run_binds_the_same_sobol_engine():
