@@ -21,8 +21,6 @@ from stochgp.features import (
     MLPMap,
     MLPSpec,
     RFFMap,
-    compose,
-    rff_init,
 )
 from stochgp.objective import HyperParams, info_matrix
 from stochgp.optim import (

@@ -324,7 +324,7 @@ def cmd_check(args) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochgp",
         description=(
@@ -363,22 +363,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_check = sub.add_parser("check", help="run built-in consistency checks")
     p_check.set_defaults(func=cmd_check)
 
-    return parser, {"run": p_run, "grid": p_grid}
+    return parser
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse a command line; ``run`` and ``grid`` get ``args.experiment``."""
-    parser, subparsers = build_parser()
-    probe, _ = parser.parse_known_args(argv)
-    if getattr(probe, "config", None) and probe.command in subparsers:
-        # install the file's values as defaults on the chosen subcommand so
-        # an explicit flag still overrides them (the subcommand re-applies
-        # its own defaults while parsing, so the top-level parser's defaults
-        # would be clobbered)
-        parser, subparsers = build_parser()
-        subparsers[probe.command].set_defaults(**read_config_file(probe.config))
-    args = parser.parse_args(argv)
-    if args.command in subparsers:
+    """Parse a command line; ``run`` and ``grid`` get ``args.experiment``.
+
+    A ``--config`` file's values go under the flags given: an experiment
+    flag left unset leaves no attribute, and ``--out`` is None.
+    """
+    args = build_parser().parse_args(argv)
+    if args.command in ("run", "grid"):
+        if args.config:
+            for key, value in read_config_file(args.config).items():
+                if getattr(args, key, None) is None:
+                    setattr(args, key, value)
         args.experiment = _config_from_args(args)
     elif args.command == "synth":
         args.spec = _parse_synth(args.spec)

@@ -2,9 +2,11 @@
 
 Three maps are provided: an identity (linear) embedding, a two-layer ReLU
 MLP, and a random Fourier feature map approximating a Gaussian kernel, plus
-their composition. Each map consumes a flat parameter vector with a fixed
-documented layout; ``backward`` returns the exact gradient of
-``sum_i <upstream_i, phi(x_i)>`` with respect to that vector.
+their composition. Each map consumes a flat parameter vector of its
+``n_params`` entries, which it slices itself by the layout its docstring
+documents; a forward given a vector of another length raises. ``backward``
+returns the exact gradient of ``sum_i <upstream_i, phi(x_i)>`` with respect
+to that vector, laid out the same way.
 
 No general autodiff: the chain rules here are written by hand and checked
 against finite differences in the test suite. Forward passes are pure
@@ -38,7 +40,6 @@ start-up.
 from __future__ import annotations
 
 import abc
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,62 +54,26 @@ __all__ = [
     "MLPSpec",
     "MLPMap",
     "RFFMap",
-    "rff_init",
     "ComposedMap",
-    "compose",
 ]
-
-
-@functools.lru_cache(maxsize=256)
-def _segments(layout) -> tuple[dict, int]:
-    """{name: (start, stop, shape)} for one layout, and the entries it covers."""
-    index, total = {}, 0
-    for name, offset, shape in layout:
-        size = math.prod(shape)
-        index[name] = (offset, offset + size, shape)
-        total += size
-    return index, total
 
 
 @dataclass(frozen=True)
 class FeatureMapParams:
-    """Flat learnable parameter vector plus its segment layout.
+    """A map's flat learnable parameter vector, float64 and contiguous.
 
-    ``layout`` maps segments of ``flat`` to named tensors as tuples of
-    (name, offset, shape). A feature batch is tied to the object it was
-    computed from, by identity: ``with_flat`` makes a new object, and so
-    does any other constructor call, whatever the values.
+    The map it is given to slices it as that map documents. A feature batch
+    is tied to the object it was computed from, by identity, so every
+    constructor call makes a new object, whatever the values.
     """
 
     flat: np.ndarray
-    layout: tuple[tuple[str, int, tuple[int, ...]], ...]
 
     def __post_init__(self):
         flat = np.ascontiguousarray(np.asarray(self.flat, dtype=np.float64))
         if flat.ndim != 1:
             raise ValueError("flat parameter vector must be 1-d")
-        index, total = _segments(self.layout)
-        if total != flat.shape[0]:
-            raise ValueError(
-                "layout covers %d entries but flat has %d" % (total, flat.shape[0])
-            )
         object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "_index", index)
-
-    @property
-    def n_params(self) -> int:
-        return self.flat.shape[0]
-
-    def get(self, name: str) -> np.ndarray:
-        """View of one named segment, reshaped. Do not mutate."""
-        try:
-            start, stop, shape = self._index[name]
-        except KeyError:
-            raise KeyError("no parameter segment named %r" % name) from None
-        return self.flat[start:stop].reshape(shape)
-
-    def with_flat(self, flat: np.ndarray) -> "FeatureMapParams":
-        return FeatureMapParams(flat, self.layout)
 
 
 @dataclass
@@ -127,17 +92,16 @@ def _check_cache(params: FeatureMapParams, batch: FeatureBatch):
 
 
 class FeatureMap(abc.ABC):
-    """A parameterized embedding of R^input_dim into R^output_dim."""
+    """A parameterized embedding of R^input_dim into R^output_dim.
+
+    A map sets ``n_params``, the length of its flat parameter vector, and
+    documents how it lays that vector out; its forward reads the vector
+    through ``_flat``, which rejects one of another length.
+    """
 
     input_dim: int
     output_dim: int
-
-    @property
-    def n_params(self) -> int:
-        return _segments(self.layout())[1]
-
-    @abc.abstractmethod
-    def layout(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]: ...
+    n_params: int
 
     @abc.abstractmethod
     def init_params(self, seed: int) -> FeatureMapParams: ...
@@ -156,8 +120,14 @@ class FeatureMap(abc.ABC):
     ) -> np.ndarray:
         return self.backward_with_inputs(params, batch, upstream)[0]
 
-    def params_from_flat(self, flat: np.ndarray) -> FeatureMapParams:
-        return FeatureMapParams(flat, self.layout())
+    def _flat(self, params: FeatureMapParams) -> np.ndarray:
+        """``params.flat``, checked to hold this map's ``n_params`` entries."""
+        flat = params.flat
+        if flat.shape[0] != self.n_params:
+            raise ValueError(
+                "parameter vector has %d entries, map expects %d" % (flat.shape[0], self.n_params)
+            )
+        return flat
 
     def _check_input(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -171,17 +141,17 @@ class FeatureMap(abc.ABC):
 class LinearMap(FeatureMap):
     """Identity embedding phi(x) = x; no learnable parameters."""
 
+    n_params = 0
+
     def __init__(self, dim: int):
         self.input_dim = int(dim)
         self.output_dim = int(dim)
 
-    def layout(self):
-        return ()
-
     def init_params(self, seed: int) -> FeatureMapParams:
-        return FeatureMapParams(np.empty(0), ())
+        return FeatureMapParams(np.empty(0))
 
     def forward(self, params, X):
+        self._flat(params)
         X = self._check_input(X)
         return FeatureBatch(X, {}, params)
 
@@ -207,24 +177,27 @@ class MLPSpec:
 class MLPMap(FeatureMap):
     """phi(x) = W2 @ relu(W1 @ x + b1) + b2.
 
-    Flat layout is (w1, b1, w2, b2), each row-major. The ReLU subgradient
-    at 0 is taken as 0. Initialization is He-style uniform, seeded: weights
-    uniform on +-sqrt(6 / fan_in), biases zero.
+    With p inputs, h hidden units and d outputs, the flat vector is
+    (w1, b1, w2, b2): w1 (h, p) row-major from offset 0, b1 (h,) from h p,
+    w2 (d, h) row-major from h p + h and b2 (d,) from h p + h + d h, so
+    ``n_params`` is h p + h + d h + d. The ReLU subgradient at 0 is taken
+    as 0. Initialization is He-style uniform, seeded: weights uniform on
+    +-sqrt(6 / fan_in), biases zero.
     """
 
     def __init__(self, spec: MLPSpec):
         self.input_dim = spec.input_dim
         self.hidden_dim = spec.layer_dims[0]
         self.output_dim = spec.layer_dims[1]
-
-    def layout(self):
         p, h, d = self.input_dim, self.hidden_dim, self.output_dim
-        return (
-            ("w1", 0, (h, p)),
-            ("b1", h * p, (h,)),
-            ("w2", h * p + h, (d, h)),
-            ("b2", h * p + h + d * h, (d,)),
-        )
+        self.n_params = h * p + h + d * h + d
+
+    def _weights(self, params):
+        """(w1, b1, w2, b2) as views of the checked flat vector."""
+        p, h, d = self.input_dim, self.hidden_dim, self.output_dim
+        flat = self._flat(params)
+        b1, w2, b2 = h * p, h * p + h, h * p + h + d * h
+        return flat[:b1].reshape(h, p), flat[b1:w2], flat[w2:b2].reshape(d, h), flat[b2:]
 
     def init_params(self, seed: int) -> FeatureMapParams:
         p, h, d = self.input_dim, self.hidden_dim, self.output_dim
@@ -232,12 +205,11 @@ class MLPMap(FeatureMap):
         w1 = rng.uniform(-1.0, 1.0, size=(h, p)) * np.sqrt(6.0 / p)
         w2 = rng.uniform(-1.0, 1.0, size=(d, h)) * np.sqrt(6.0 / h)
         flat = np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(d)])
-        return FeatureMapParams(flat, self.layout())
+        return FeatureMapParams(flat)
 
     def forward(self, params, X):
+        w1, b1, w2, b2 = self._weights(params)
         X = self._check_input(X)
-        w1, b1 = params.get("w1"), params.get("b1")
-        w2, b2 = params.get("w2"), params.get("b2")
         pre1 = X @ w1.T + b1
         hidden = np.maximum(pre1, 0.0)
         Z = hidden @ w2.T + b2
@@ -247,7 +219,7 @@ class MLPMap(FeatureMap):
         _check_cache(params, batch)
         U = np.asarray(upstream, dtype=np.float64)
         X, hidden = batch.cache["X"], batch.cache["hidden"]
-        w1, w2 = params.get("w1"), params.get("w2")
+        w1, _, w2, _ = self._weights(params)
         g_w2 = U.T @ hidden
         g_b2 = U.sum(axis=0)
         # hidden = max(pre1, 0), so hidden > 0 is pre1 > 0, NaN rows included
@@ -369,6 +341,8 @@ class RFFMap(FeatureMap):
     under unconstrained steps. ``feature_count`` must be even.
     """
 
+    n_params = 2
+
     def __init__(
         self,
         input_dim: int,
@@ -391,24 +365,21 @@ class RFFMap(FeatureMap):
         self.init_u2 = float(init_u2)
         self.frequencies = _frequencies(self.input_dim, self.output_dim // 2, self.seed)
 
-    def layout(self):
-        return (("log_u1", 0, (1,)), ("log_u2", 1, (1,)))
-
     def init_params(self, seed: int) -> FeatureMapParams:
         # the draw is fixed at construction; seed is unused here by design
-        flat = np.array([np.log(self.init_u1), np.log(self.init_u2)])
-        return FeatureMapParams(flat, self.layout())
+        return FeatureMapParams(np.array([np.log(self.init_u1), np.log(self.init_u2)]))
 
     def forward(self, params, X):
+        flat = self._flat(params)
         X = self._check_input(X)
         with np.errstate(over="ignore"):
-            u1 = float(np.exp(params.flat[0]))
-            u2 = float(np.exp(params.flat[1]))
+            u1 = float(np.exp(flat[0]))
+            u2 = float(np.exp(flat[1]))
         if not (0.0 < u1 < math.inf and 0.0 < u2 < math.inf):
             k = 0 if not 0.0 < u1 < math.inf else 1
             raise ValueError(
                 "log u%d = %r puts the random-feature scale exp(log u%d) outside (0, inf)"
-                % (k + 1, float(params.flat[k]), k + 1)
+                % (k + 1, float(flat[k]), k + 1)
             )
         # unit-scale projections, one per pair, by one gemv per row of X
         proj = (self.frequencies @ np.ascontiguousarray(X)[:, :, None])[:, :, 0]
@@ -446,13 +417,8 @@ class RFFMap(FeatureMap):
         return np.array([g_log_u1, g_log_u2]), g_inputs
 
 
-def rff_init(q: int, D: int, u1: float, u2: float, seed: int) -> RFFMap:
-    """Draw a frozen random Fourier map on R^q with D features, seeded."""
-    return RFFMap(q, D, seed, init_u1=u1, init_u2=u2)
-
-
 class ComposedMap(FeatureMap):
-    """outer after inner; flat parameters are (inner params, outer params)."""
+    """outer after inner; the flat vector is the inner map's, then the outer map's."""
 
     def __init__(self, outer: FeatureMap, inner: FeatureMap):
         if inner.output_dim != outer.input_dim:
@@ -464,26 +430,17 @@ class ComposedMap(FeatureMap):
         self.inner = inner
         self.input_dim = inner.input_dim
         self.output_dim = outer.output_dim
-
-    def layout(self):
-        inner = tuple(
-            ("inner." + name, off, shape) for name, off, shape in self.inner.layout()
-        )
-        shift = self.inner.n_params
-        outer = tuple(
-            ("outer." + name, off + shift, shape) for name, off, shape in self.outer.layout()
-        )
-        return inner + outer
+        self.n_params = inner.n_params + outer.n_params
 
     def init_params(self, seed: int) -> FeatureMapParams:
         inner = self.inner.init_params(seed)
         outer = self.outer.init_params(seed + 1)
-        return FeatureMapParams(np.concatenate([inner.flat, outer.flat]), self.layout())
+        return FeatureMapParams(np.concatenate([inner.flat, outer.flat]))
 
     def forward(self, params, X):
-        k = self.inner.n_params
-        inner = self.inner.forward(self.inner.params_from_flat(params.flat[:k]), X)
-        outer = self.outer.forward(self.outer.params_from_flat(params.flat[k:]), inner.Z)
+        flat, k = self._flat(params), self.inner.n_params
+        inner = self.inner.forward(FeatureMapParams(flat[:k]), X)
+        outer = self.outer.forward(FeatureMapParams(flat[k:]), inner.Z)
         return FeatureBatch(outer.Z, {"inner": inner, "outer": outer}, params)
 
     def backward_with_inputs(self, params, batch, upstream):
@@ -493,8 +450,3 @@ class ComposedMap(FeatureMap):
         g_outer, up_inner = self.outer.backward_with_inputs(outer.params, outer, upstream)
         g_inner, g_inputs = self.inner.backward_with_inputs(inner.params, inner, up_inner)
         return np.concatenate([g_inner, g_outer]), g_inputs
-
-
-def compose(outer: FeatureMap, inner: FeatureMap) -> ComposedMap:
-    """Build the map x -> outer(inner(x))."""
-    return ComposedMap(outer, inner)

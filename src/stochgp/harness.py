@@ -57,14 +57,7 @@ from stochgp.data import (
     split,
     standardize,
 )
-from stochgp.features import (
-    FeatureMap,
-    LinearMap,
-    MLPMap,
-    MLPSpec,
-    compose,
-    rff_init,
-)
+from stochgp.features import ComposedMap, FeatureMap, LinearMap, MLPMap, MLPSpec, RFFMap
 from stochgp.objective import HyperParams, _feature_blocks, _linearized_core, _ridge_system
 from stochgp.optim import (
     MinimaxConfig,
@@ -320,14 +313,10 @@ def build_feature_map(cfg: ExperimentConfig, input_dim: int) -> FeatureMap:
     mlp = MLPMap(MLPSpec(input_dim, (cfg.mlp_hidden, cfg.mlp_out)))
     if cfg.feature_map == "mlp":
         return mlp
-    outer = rff_init(
-        q=cfg.mlp_out,
-        D=cfg.rff_dim,
-        u1=cfg.rff_u1,
-        u2=cfg.rff_u2,
-        seed=cfg.init_seed + 1000,
+    outer = RFFMap(
+        cfg.mlp_out, cfg.rff_dim, cfg.init_seed + 1000, init_u1=cfg.rff_u1, init_u2=cfg.rff_u2
     )
-    return compose(outer, mlp)
+    return ComposedMap(outer, mlp)
 
 
 def load_dataset(cfg: ExperimentConfig) -> Dataset:

@@ -75,9 +75,19 @@ class HyperParams:
         return np.concatenate((self.weights, self.feature_params.flat, (self.noise_variance,)))
 
     def with_flat(self, v: np.ndarray) -> "HyperParams":
-        """The checked parameter point whose ``flat`` is v, on this point's map layout."""
-        d = self.d
-        return HyperParams(v[:d], self.feature_params.with_flat(v[d:-1]), v[-1])
+        """The checked parameter point whose ``flat`` is v, split as this point's ``flat`` is.
+
+        v must have this point's shape: d weights, the map's parameters and
+        the noise variance. A vector of another length is rejected, since
+        the split would hand its shortfall or surplus to the noise variance.
+        """
+        d, k = self.d, self.feature_params.flat.shape[0]
+        if np.shape(v) != (d + k + 1,):
+            raise ValueError(
+                "theta vector has shape %s, this point's flat has shape %s"
+                % (np.shape(v), (d + k + 1,))
+            )
+        return HyperParams(v[:d], FeatureMapParams(v[d:-1]), v[-1])
 
 
 def _check_noise(noise_variance: float) -> float:

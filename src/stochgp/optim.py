@@ -49,7 +49,7 @@ from stochgp._linalg import (
     tri_inverse_lower,
     try_chol_lower,
 )
-from stochgp.features import FeatureMap
+from stochgp.features import FeatureMap, FeatureMapParams
 from stochgp.objective import HyperParams, _linearized_core, info_matrix
 
 __all__ = [
@@ -266,9 +266,7 @@ def project_primal(
     theta = zeta.theta
     s2 = float(min(max(theta.noise_variance, sigma_min * sigma_min), coord_bound))
     w = np.clip(theta.weights, -coord_bound, coord_bound)
-    alpha = theta.feature_params.with_flat(
-        np.clip(theta.feature_params.flat, -coord_bound, coord_bound)
-    )
+    alpha = FeatureMapParams(np.clip(theta.feature_params.flat, -coord_bound, coord_bound))
 
     # kept: A may come from outside, and a step's g_A carries chol_inverse's asymmetry
     A = symmetrize(zeta.info_surrogate)

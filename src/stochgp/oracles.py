@@ -240,7 +240,7 @@ def rff_trig_error(arguments: np.ndarray) -> float:
     the forward formed itself, proj / u1, here with u1 = u2 = amp = 1.
     """
     fmap = RFFMap(1, 2, seed=0)
-    params = fmap.params_from_flat(np.zeros(2))
+    params = FeatureMapParams(np.zeros(2))
     X = np.asarray(arguments, dtype=np.float64)[:, None] / fmap.frequencies[0, 0]
     batch = fmap.forward(params, X)
     a = batch.cache["proj"] / batch.cache["u1"]
@@ -421,7 +421,7 @@ def backward_error(
     analytic = fmap.backward(params, fmap.forward(params, X), upstream)
 
     def contraction(v):
-        return float(np.sum(upstream * fmap.forward(params.with_flat(v), X).Z))
+        return float(np.sum(upstream * fmap.forward(FeatureMapParams(v), X).Z))
 
     return max_rel_error(analytic, fd_grad(contraction, params.flat), 1e-8)
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from stochgp._linalg import chol_lower
-from stochgp.features import LinearMap, MLPMap, MLPSpec, compose, rff_init
+from stochgp.features import ComposedMap, LinearMap, MLPMap, MLPSpec, RFFMap
 from stochgp.objective import HyperParams
 
 
@@ -16,7 +16,7 @@ def instance(seed, n, kind="mlp", p=2, hidden=3, d=2, sigma2=0.6, w_scale=0.5):
     rng = np.random.default_rng(seed)
     fmap = LinearMap(p) if kind == "linear" else MLPMap(MLPSpec(p, (hidden, d)))
     if kind == "mlp+rff":
-        fmap = compose(rff_init(q=d, D=4, u1=1.0, u2=1.0, seed=seed), fmap)
+        fmap = ComposedMap(RFFMap(d, 4, seed), fmap)
     weights = w_scale * rng.normal(size=fmap.output_dim)
     theta = HyperParams(weights, fmap.init_params(seed + 1), sigma2)
     return fmap, theta, rng.normal(size=(n, p)), rng.normal(size=n)

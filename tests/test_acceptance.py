@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from instances import feasible_surrogate, instance
-from stochgp.features import LinearMap, MLPMap, MLPSpec, rff_init
+from stochgp.features import FeatureMapParams, LinearMap, MLPMap, MLPSpec, RFFMap
 from stochgp.harness import ExperimentConfig, SynthSpec, grid_edge, grid_search
 from stochgp.objective import HyperParams
 from stochgp.optim import (
@@ -81,7 +81,7 @@ def test_02_analytic_gradients_match_finite_differences():
     rels["batch loss"] = bsgd_grad_error(fmap, theta, X, y, idx)
     for name, fm in (
         ("mlp backward", fmap),
-        ("rff backward", rff_init(q=2, D=8, u1=0.9, u2=1.1, seed=4)),
+        ("rff backward", RFFMap(2, 8, 4, init_u1=0.9, init_u2=1.1)),
     ):
         Xi = np.random.default_rng(5).normal(size=(4, fm.input_dim))
         W_up = np.random.default_rng(6).normal(size=(4, fm.output_dim))
@@ -212,7 +212,7 @@ def test_06_projection_and_feasibility_suite():
     rng = np.random.default_rng(77)
     params = MLPMap(MLPSpec(2, (3, 4))).init_params(0)
     d = 4
-    n_flat = params.n_params
+    n_flat = params.flat.size
     sig_min, coord, eig = 3e-2, 10.0, 25.0
 
     def random_state():
@@ -222,7 +222,7 @@ def test_06_projection_and_feasibility_suite():
         s2 = float(10.0 ** rng.uniform(-5.0, 1.8))
         G = rng.normal(size=(d, d)) * float(rng.choice([0.3, 8.0]))
         A = G + G.T + float(rng.choice([-2.0, 0.0, 6.0])) * np.eye(d)
-        return AugmentedState(HyperParams(w, params.with_flat(flat), s2), A)
+        return AugmentedState(HyperParams(w, FeatureMapParams(flat), s2), A)
 
     gaps = np.max([projection_gaps(random_state(), sig_min, coord, eig) for _ in range(1000)], axis=0)
     assert gaps[0] == 0.0 and gaps[1] <= 1e-8, gaps  # bounds and symmetry exact, spectrum
@@ -373,7 +373,7 @@ def test_08_random_feature_fidelity():
     # over 1000 pairs with separations spanning (0, 3] length-scales
     rng = np.random.default_rng(20260401)
     q, D, u1, u2 = 3, 1000, 1.0, 1.0
-    fmap = rff_init(q=q, D=D, u1=u1, u2=u2, seed=77)
+    fmap = RFFMap(q, D, 77, init_u1=u1, init_u2=u2)
     params = fmap.init_params(0)
     m = 1000
     r = 3.0 * u1 * (1.0 - rng.random(m))

@@ -25,8 +25,6 @@ from stochgp.features import (
     MLPMap,
     MLPSpec,
     RFFMap,
-    compose,
-    rff_init,
 )
 from stochgp.oracles import backward_error, fd_grad, max_rel_error, rff_trig_error
 
@@ -34,15 +32,14 @@ from stochgp.oracles import backward_error, fd_grad, max_rel_error, rff_trig_err
 class ScaleMap(FeatureMap):
     """phi(x) = a * x with a single scalar parameter, for hand-derivative checks."""
 
+    n_params = 1
+
     def __init__(self, dim):
         self.input_dim = dim
         self.output_dim = dim
 
-    def layout(self):
-        return (("a", 0, (1,)),)
-
     def init_params(self, seed):
-        return FeatureMapParams(np.array([1.0]), self.layout())
+        return FeatureMapParams(np.array([1.0]))
 
     def forward(self, params, X):
         X = self._check_input(X)
@@ -58,62 +55,86 @@ def upstream_scalar(fmap, X, U):
     """f(flat) = sum_i <U_i, phi(x_i)> as a plain function of the flat vector."""
 
     def f(flat):
-        params = fmap.params_from_flat(flat)
+        params = FeatureMapParams(flat)
         return float(np.sum(U * fmap.forward(params, X).Z))
 
     return f
 
 
-class TestParamsLayout:
-    def test_round_trip_flat_named_flat(self):
-        fmap = MLPMap(MLPSpec(3, (4, 5)))
-        params = fmap.init_params(seed=0)
-        rebuilt = np.concatenate(
-            [params.get(name).ravel() for name, _, _ in params.layout]
-        )
-        assert np.array_equal(rebuilt, params.flat)
+def mlp_reference(flat, X, hidden, out):
+    """The MLP forward from its documented layout: (w1, b1, w2, b2), each row-major."""
+    p = X.shape[1]
+    w1 = flat[: hidden * p].reshape(hidden, p)
+    b1 = flat[hidden * p : hidden * p + hidden]
+    o = hidden * p + hidden
+    w2 = flat[o : o + out * hidden].reshape(out, hidden)
+    return np.maximum(X @ w1.T + b1, 0.0) @ w2.T + flat[o + out * hidden :]
 
+
+class TestParamsLayout:
     def test_layout_lengths_sum(self):
         mlp = MLPMap(MLPSpec(3, (4, 5)))
-        rff = rff_init(q=5, D=4, u1=1.0, u2=1.0, seed=0)
-        # n_params comes from the layout, for a custom map too
+        rff = RFFMap(5, 4, 0)
+        # each map's n_params sums the lengths of the segments its docstring lays out
         for fmap, expected in (
             (mlp, 4 * 3 + 4 + 5 * 4 + 5),
             (ScaleMap(2), 1),
             (LinearMap(3), 0),
             (rff, 2),
-            (compose(rff, mlp), 4 * 3 + 4 + 5 * 4 + 5 + 2),
+            (ComposedMap(rff, mlp), 4 * 3 + 4 + 5 * 4 + 5 + 2),
         ):
-            total = sum(int(np.prod(shape)) for _, _, shape in fmap.layout())
-            assert total == fmap.n_params == expected
-
-    def test_bad_layout_rejected(self):
-        with pytest.raises(ValueError, match="layout covers"):
-            FeatureMapParams(np.zeros(3), (("a", 0, (2,)),))
+            assert fmap.n_params == expected
+            assert fmap.init_params(0).flat.shape == (expected,)
 
     @settings(max_examples=60)
     @given(
-        rff=st.booleans(),
+        kind=st.sampled_from(["linear", "mlp", "rff", "mlp+rff"]),
         p=st.integers(1, 5),
         hidden=st.integers(1, 5),
         d=st.integers(1, 5),
         pairs=st.integers(1, 4),
+        n=st.integers(1, 6),
+        off=st.sampled_from([-1, 1]),
         seed=st.integers(0, 2**32 - 1),
-        unknown=st.text(max_size=12),
     )
-    def test_get_matches_layout_scan(self, rff, p, hidden, d, pairs, seed, unknown):
-        fmap = MLPMap(MLPSpec(p, (hidden, d)))
-        if rff:
-            fmap = compose(rff_init(q=d, D=2 * pairs, u1=1.0, u2=1.0, seed=seed), fmap)
-        flat = np.random.default_rng(seed).normal(size=fmap.n_params)
-        params = fmap.params_from_flat(flat).with_flat(flat)
-        for name, offset, shape in params.layout:
-            size = int(np.prod(shape))
-            assert np.array_equal(params.get(name), flat[offset : offset + size].reshape(shape))
-        assume(unknown not in {name for name, _, _ in params.layout})
-        with pytest.raises(KeyError) as exc:
-            params.get(unknown)
-        assert repr(unknown) in exc.value.args[0]
+    def test_forward_takes_exactly_n_params_entries(
+        self, kind, p, hidden, d, pairs, n, off, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if kind == "rff":
+            fmap = RFFMap(p, 2 * pairs, seed)
+        else:
+            fmap = LinearMap(p) if kind == "linear" else MLPMap(MLPSpec(p, (hidden, d)))
+            if kind == "mlp+rff":
+                fmap = ComposedMap(RFFMap(d, 2 * pairs, seed), fmap)
+        X = rng.normal(size=(n, p))
+        flat = 0.5 * rng.normal(size=fmap.n_params)
+        batch = fmap.forward(FeatureMapParams(flat), X)
+        if kind == "linear":
+            assert np.array_equal(batch.Z, X)
+        elif kind == "mlp":
+            assert np.array_equal(batch.Z, mlp_reference(flat, X, hidden, d))
+        else:
+            # the random features of the MLP's outputs (or of X), from the
+            # last two entries: libm's cos and sin of the projection / u1
+            rff, Y = fmap, X
+            if kind == "mlp+rff":
+                rff, Y = fmap.outer, mlp_reference(flat[:-2], X, hidden, d)
+                assert np.array_equal(batch.cache["inner"].Z, Y)
+                batch = batch.cache["outer"]
+            eps = np.finfo(np.float64).eps
+            proj, W = batch.cache["proj"], rff.frequencies
+            assert np.all(np.abs(proj - Y @ W.T) <= 2 * Y.shape[1] * eps * (np.abs(Y) @ np.abs(W.T)))
+            args = proj / np.exp(flat[-2])
+            amp = np.sqrt(2.0 * np.exp(flat[-1]) / rff.output_dim)
+            ref = amp * np.hstack([np.cos(args), np.sin(args)])
+            assert np.all(np.abs(batch.Z - ref) <= 4 * eps * amp)
+        if fmap.n_params + off < 0:
+            return
+        wrong = np.zeros(fmap.n_params + off)
+        message = "has %d entries, map expects %d" % (wrong.shape[0], fmap.n_params)
+        with pytest.raises(ValueError, match=message):
+            fmap.forward(FeatureMapParams(wrong), X)
 
 
 class TestLinearMap:
@@ -138,7 +159,7 @@ class TestScaleMap:
     def test_hand_derivative(self):
         # phi(x) = a x, upstream u: d/da sum(u * a * x) = sum(u * x)
         fmap = ScaleMap(2)
-        params = FeatureMapParams(np.array([1.7]), fmap.layout())
+        params = FeatureMapParams(np.array([1.7]))
         X = np.array([[2.0, -1.0]])
         U = np.array([[3.0, 5.0]])
         batch = fmap.forward(params, X)
@@ -149,7 +170,7 @@ class TestScaleMap:
 class TestMLP:
     def test_zero_network_maps_to_zero(self):
         fmap = MLPMap(MLPSpec(3, (4, 2)))
-        params = fmap.params_from_flat(np.zeros(fmap.n_params))
+        params = FeatureMapParams(np.zeros(fmap.n_params))
         X = np.random.default_rng(1).normal(size=(5, 3))
         np.testing.assert_array_equal(fmap.forward(params, X).Z, np.zeros((5, 2)))
 
@@ -158,9 +179,10 @@ class TestMLP:
         params = fmap.init_params(seed=7)
         x = np.random.default_rng(2).normal(size=3)
         z = fmap.forward(params, x[None, :]).Z[0]
-        # scalar recomputation, no matrix ops
-        w1, b1 = params.get("w1"), params.get("b1")
-        w2, b2 = params.get("w2"), params.get("b2")
+        # scalar recomputation from the documented offsets, no matrix ops
+        flat = params.flat
+        w1, b1 = flat[:12].reshape(4, 3), flat[12:16]
+        w2, b2 = flat[16:24].reshape(2, 4), flat[24:]
         hidden = [max(sum(w1[j, k] * x[k] for k in range(3)) + b1[j], 0.0) for j in range(4)]
         expect = [
             sum(w2[o, j] * hidden[j] for j in range(4)) + b2[o] for o in range(2)
@@ -190,7 +212,7 @@ class TestMLP:
         fmap = MLPMap(MLPSpec(2, (3, 2)))
         params = fmap.init_params(0)
         batch = fmap.forward(params, np.zeros((1, 2)))
-        newer = params.with_flat(params.flat * 2.0)
+        newer = FeatureMapParams(params.flat * 2.0)
         with pytest.raises(ValueError, match="stale feature cache"):
             fmap.backward(newer, batch, np.zeros((1, 2)))
 
@@ -222,7 +244,7 @@ class TestRFF:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=name):
-                fmap.forward(fmap.params_from_flat(flat), np.ones((3, 2)))
+                fmap.forward(FeatureMapParams(flat), np.ones((3, 2)))
 
     def test_deterministic_draw(self):
         a = RFFMap(3, 16, seed=4)
@@ -235,12 +257,10 @@ class TestRFF:
         assert not np.array_equal(Za, RFFMap(3, 16, seed=5).forward(a.init_params(0), X).Z)
 
     def test_magnitude_doubling_scales_features(self):
-        fmap = rff_init(q=2, D=32, u1=1.3, u2=1.0, seed=0)
+        fmap = RFFMap(2, 32, 0, init_u1=1.3)
         X = np.random.default_rng(5).normal(size=(4, 2))
         base = fmap.forward(fmap.init_params(0), X).Z
-        doubled_params = FeatureMapParams(
-            np.array([np.log(1.3), np.log(2.0)]), fmap.layout()
-        )
+        doubled_params = FeatureMapParams(np.array([np.log(1.3), np.log(2.0)]))
         doubled = fmap.forward(doubled_params, X).Z
         np.testing.assert_allclose(doubled, np.sqrt(2.0) * base, rtol=1e-12)
         np.testing.assert_allclose(
@@ -253,7 +273,7 @@ class TestRFF:
         z = np.random.default_rng(6).normal(size=(1, 3))
         vals = []
         for seed in range(200):
-            fmap = rff_init(q=3, D=1000, u1=0.9, u2=u2, seed=seed)
+            fmap = RFFMap(3, 1000, seed, init_u1=0.9, init_u2=u2)
             Z = fmap.forward(fmap.init_params(0), z).Z[0]
             vals.append(float(Z @ Z))
         assert abs(np.mean(vals) - u2) < 0.02 * u2
@@ -266,7 +286,7 @@ class TestRFF:
         truth = u2 * np.exp(-np.sum((z1 - z2) ** 2) / (2 * u1 ** 2))
         vals = []
         for seed in range(300):
-            fmap = rff_init(q=3, D=500, u1=u1, u2=u2, seed=seed)
+            fmap = RFFMap(3, 500, seed, init_u1=u1, init_u2=u2)
             batch = fmap.forward(fmap.init_params(0), np.stack([z1, z2]))
             vals.append(float(batch.Z[0] @ batch.Z[1]))
         se = np.std(vals) / np.sqrt(len(vals))
@@ -274,19 +294,19 @@ class TestRFF:
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(8)
-        fmap = rff_init(q=3, D=20, u1=0.7, u2=1.9, seed=1)
+        fmap = RFFMap(3, 20, 1, init_u1=0.7, init_u2=1.9)
         X = rng.normal(size=(5, 3))
         assert backward_error(fmap, fmap.init_params(0), X, rng.normal(size=(5, 20))) < 1e-5
 
     def test_positive_scale_validation(self):
         with pytest.raises(ValueError):
-            rff_init(q=2, D=8, u1=-1.0, u2=1.0, seed=0)
+            RFFMap(2, 8, 0, init_u1=-1.0)
         with pytest.raises(ValueError):
-            rff_init(q=2, D=8, u1=1.0, u2=0.0, seed=0)
+            RFFMap(2, 8, 0, init_u2=0.0)
 
     def test_odd_feature_count_rejected(self):
         with pytest.raises(ValueError, match="cos/sin pairs"):
-            rff_init(q=2, D=7, u1=1.0, u2=1.0, seed=0)
+            RFFMap(2, 7, 0)
 
     @settings(max_examples=80)
     @given(
@@ -364,7 +384,7 @@ class TestRFF:
     def test_self_inner_product_is_exact(self, half, q, u1, u2, seed, data):
         # cos/sin pairs on shared frequencies: phi(z)^T phi(z) = u2 for every draw
         z = data.draw(hnp.arrays(np.float64, (1, q), elements=st.floats(-5.0, 5.0)))
-        fmap = rff_init(q=q, D=2 * half, u1=u1, u2=u2, seed=seed)
+        fmap = RFFMap(q, 2 * half, seed, init_u1=u1, init_u2=u2)
         phi = fmap.forward(fmap.init_params(0), z).Z[0]
         assert abs(float(phi @ phi) - u2) <= 1e-12 * u2
 
@@ -382,7 +402,7 @@ class TestRFF:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, q))
         U = rng.normal(size=(n, 2 * half))
-        params = fmap.params_from_flat(np.array([log_u1, log_u2]))
+        params = FeatureMapParams(np.array([log_u1, log_u2]))
         batch = fmap.forward(params, X)
         u1 = float(np.exp(log_u1))
         amp = np.sqrt(2.0 * float(np.exp(log_u2)) / (2 * half))
@@ -439,7 +459,7 @@ class TestRFF:
         # batch give the bits a forward over all rows gives
         fmap = RFFMap(q, 2 * half, seed % 1000)
         rng = np.random.default_rng(seed)
-        params = fmap.params_from_flat(rng.normal(size=2) * 0.5)
+        params = FeatureMapParams(rng.normal(size=2) * 0.5)
         base = rng.normal(size=(2 * n, 3 * q)) * 3.0
         X = np.ascontiguousarray(base[::2, 1::3])
         Z = fmap.forward(params, X).Z
@@ -453,41 +473,41 @@ class TestRFF:
 
 class TestCompose:
     def test_identity_of_identities(self):
-        fmap = compose(LinearMap(3), LinearMap(3))
+        fmap = ComposedMap(LinearMap(3), LinearMap(3))
         X = np.random.default_rng(9).normal(size=(4, 3))
         out = fmap.forward(fmap.init_params(0), X)
         np.testing.assert_array_equal(out.Z, X)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
-            compose(LinearMap(3), LinearMap(2))
+            ComposedMap(LinearMap(3), LinearMap(2))
 
     def test_two_stage_oracle(self):
         inner = MLPMap(MLPSpec(3, (4, 2)))
-        outer = rff_init(q=2, D=16, u1=1.1, u2=0.9, seed=3)
-        fmap = compose(outer, inner)
+        outer = RFFMap(2, 16, 3, init_u1=1.1, init_u2=0.9)
+        fmap = ComposedMap(outer, inner)
         params = fmap.init_params(seed=12)
         X = np.random.default_rng(10).normal(size=(5, 3))
         staged_inner = inner.forward(
-            inner.params_from_flat(params.flat[: inner.n_params]), X
+            FeatureMapParams(params.flat[: inner.n_params]), X
         )
         staged = outer.forward(
-            outer.params_from_flat(params.flat[inner.n_params :]), staged_inner.Z
+            FeatureMapParams(params.flat[inner.n_params :]), staged_inner.Z
         )
         np.testing.assert_allclose(fmap.forward(params, X).Z, staged.Z, rtol=1e-12)
 
     def test_composed_backward_matches_finite_differences(self):
         rng = np.random.default_rng(13)
         inner = MLPMap(MLPSpec(3, (4, 2)))
-        outer = rff_init(q=2, D=10, u1=0.8, u2=1.2, seed=2)
-        fmap = compose(outer, inner)
+        outer = RFFMap(2, 10, 2, init_u1=0.8, init_u2=1.2)
+        fmap = ComposedMap(outer, inner)
         X = rng.normal(size=(4, 3))
         assert backward_error(fmap, fmap.init_params(seed=21), X, rng.normal(size=(4, 10))) < 1e-5
 
     def test_param_concatenation_order(self):
         inner = MLPMap(MLPSpec(2, (3, 2)))
-        outer = rff_init(q=2, D=8, u1=1.0, u2=1.0, seed=0)
-        fmap = compose(outer, inner)
+        outer = RFFMap(2, 8, 0)
+        fmap = ComposedMap(outer, inner)
         params = fmap.init_params(seed=1)
         assert params.flat.shape == (inner.n_params + 2,)
         np.testing.assert_array_equal(
@@ -501,8 +521,8 @@ def _stale_cache_map(kind):
     if kind == "mlp":
         return mlp
     if kind == "rff":
-        return rff_init(q=3, D=6, u1=1.0, u2=1.0, seed=4)
-    return compose(rff_init(q=2, D=6, u1=1.0, u2=1.0, seed=4), mlp)
+        return RFFMap(3, 6, 4)
+    return ComposedMap(RFFMap(2, 6, 4), mlp)
 
 
 class TestStaleCache:
@@ -517,7 +537,7 @@ class TestStaleCache:
             # both objects are fresh from init_params; for rff they are equal
             foreign = fmap.init_params(1)
         else:
-            foreign = fmap.params_from_flat(params.flat.copy())
+            foreign = FeatureMapParams(params.flat.copy())
         rng = np.random.default_rng(15)
         X = rng.normal(size=(5, 3))
         U = rng.normal(size=(5, fmap.output_dim))
@@ -563,8 +583,8 @@ class TestBackwardProperty:
         rng = np.random.default_rng(seed)
         fmap = LinearMap(p) if kind == "linear" else MLPMap(MLPSpec(p, (hidden, d)))
         if kind == "mlp+rff":
-            outer = rff_init(q=d, D=2 * half, u1=1.0, u2=1.0, seed=seed)
-            fmap = compose(outer, fmap)
+            outer = RFFMap(d, 2 * half, seed)
+            fmap = ComposedMap(outer, fmap)
         flat = 0.5 * rng.normal(size=fmap.n_params)
         X = rng.normal(size=(n, p))
         U = rng.normal(size=(n, fmap.output_dim))
@@ -573,7 +593,7 @@ class TestBackwardProperty:
             w1 = flat[: hidden * p].reshape(hidden, p)
             b1 = flat[hidden * p : hidden * p + hidden]
             assume(np.min(np.abs(X @ w1.T + b1)) > 1e-3)
-        params = fmap.params_from_flat(flat)
+        params = FeatureMapParams(flat)
         grad, g_inputs = fmap.backward_with_inputs(params, fmap.forward(params, X), U)
 
         def of_inputs(x):
@@ -591,8 +611,8 @@ class TestForwardRecomputationInvariant:
     def test_batch_rows_equal_per_sample_recompute(self):
         rng = np.random.default_rng(14)
         inner = MLPMap(MLPSpec(3, (5, 4)))
-        outer = rff_init(q=4, D=12, u1=1.0, u2=1.0, seed=5)
-        for fmap in (LinearMap(3), inner, compose(outer, inner)):
+        outer = RFFMap(4, 12, 5)
+        for fmap in (LinearMap(3), inner, ComposedMap(outer, inner)):
             params = fmap.init_params(seed=3)
             X = rng.normal(size=(6, 3))
             Z = fmap.forward(params, X).Z

@@ -16,7 +16,7 @@ import stochgp.objective
 from instances import covariance_draw_csv
 from stochgp._linalg import spd_inverse
 from stochgp.data import load_csv, split, standardize
-from stochgp.features import LinearMap, MLPMap, MLPSpec, compose, rff_init
+from stochgp.features import ComposedMap, FeatureMapParams, LinearMap, MLPMap, MLPSpec, RFFMap
 from stochgp.harness import (
     DEFAULT_GRID,
     ExperimentConfig,
@@ -124,7 +124,7 @@ class TestGenSynthetic:
         spec = SynthSpec(n=n, p=p, d=d, sigma2=sigma2, map_kind=kind, seed=seed, mlp_hidden=hidden)
         data, truth = gen_synthetic(spec, draw_seed)
         fmap = MLPMap(MLPSpec(p, (hidden, d))) if mlp else LinearMap(p)
-        params = fmap.params_from_flat(np.asarray(truth["feature_flat"]))
+        params = FeatureMapParams(np.asarray(truth["feature_flat"]))
         Z = fmap.forward(params, data.features).Z
         if draw_seed is None:
             stream = np.random.default_rng(seed)
@@ -565,7 +565,7 @@ class TestRunExperiment:
         X, y, n = train.features, train.targets, train.n
         assert n > 2000
         fmap = build_feature_map(cfg, X.shape[1])
-        params = fmap.params_from_flat(np.asarray(rec.best_feature_flat))
+        params = FeatureMapParams(np.asarray(rec.best_feature_flat))
         s2 = rec.best_noise_variance
         raw = exact_nll_oracle(fmap, params, s2, X, y)
         assert rec.best_nll == pytest.approx((raw + n * math.log(2 * math.pi)) / (2 * n), rel=1e-10)
@@ -803,8 +803,8 @@ class TestBlockedPasses:
         elif kind == "mlp":
             fmap = MLPMap(MLPSpec(p, (hidden, d)))
         else:
-            outer = rff_init(q=hidden, D=2 * d, u1=1.0, u2=1.0, seed=seed % 1000)
-            fmap = compose(outer, MLPMap(MLPSpec(p, (hidden, hidden))))
+            outer = RFFMap(hidden, 2 * d, seed % 1000)
+            fmap = ComposedMap(outer, MLPMap(MLPSpec(p, (hidden, hidden))))
         d = fmap.output_dim
         theta = HyperParams(rng.normal(size=d), fmap.init_params(seed), s2)
         X, y = rng.normal(size=(n, p)), rng.normal(size=n)

@@ -16,7 +16,10 @@ The benchmark under ``benchmarks/`` reaches into the program at named
 seams: its tracer imports each module it wraps and replaces functions at
 the names their callers look up, and its worker stamps a run's first step
 by wrapping the step rules at ``stochgp.harness`` and ``stochgp.optim``.
-The tests at the end pin that those names are still the ones a run calls.
+Its checker recomputes features from a record's flat parameters in its own
+numpy, and its layer sweep builds and steps each rule itself. The tests at
+the end pin that those names are still the ones a run calls, that the flat
+layout is the one the checker reads, and that the sweep still steps.
 """
 
 import importlib
@@ -28,12 +31,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stochgp
 import stochgp.harness
 import stochgp.optim
-from stochgp.harness import OPTIMIZERS, ExperimentConfig, SynthSpec, run_experiment
+from stochgp.features import LinearMap, MLPMap, MLPSpec
+from stochgp.harness import (
+    OPTIMIZERS,
+    ExperimentConfig,
+    SynthSpec,
+    build_feature_map,
+    run_experiment,
+)
+from stochgp.objective import HyperParams
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -349,18 +361,22 @@ def test_no_training_module_holds_an_oracle():
         assert not held, "stochgp.%s holds %s from stochgp.oracles" % (name, held)
 
 
-def _layertrace():
-    spec = importlib.util.spec_from_file_location(
-        "layertrace", ROOT / "benchmarks" / "layertrace.py"
-    )
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
-    return layertrace
+def _benchmark(name: str):
+    """benchmarks/<name>.py, loaded by file path; registered only while it runs."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules while it is defined
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
 
 
 def test_every_module_the_tracer_wraps_imports():
     # Tracer.install imports each one; a deleted or renamed module would crash --trace 1
-    names = sorted({target[0] for target in _layertrace().TARGETS})
+    names = sorted({target[0] for target in _benchmark("layertrace").TARGETS})
     assert names
     for name in names:
         importlib.import_module(name)
@@ -369,11 +385,54 @@ def test_every_module_the_tracer_wraps_imports():
 def test_every_feature_map_method_the_tracer_wraps_is_its_owners():
     # the tracer wraps a method through vars(owner); one its class only
     # inherits is skipped, and its features.* metrics would read 0
-    targets = [t for t in _layertrace().TARGETS if t[0] == "stochgp.features"]
+    targets = [t for t in _benchmark("layertrace").TARGETS if t[0] == "stochgp.features"]
     assert targets
     module = importlib.import_module("stochgp.features")
     for _, owner, attr, _ in targets:
         assert attr in vars(getattr(module, owner)), "%s.%s" % (owner, attr)
+
+
+def test_the_benchmarks_own_forward_reads_the_layout_the_maps_slice():
+    # check.py recomputes every record's features from best.feature_flat with
+    # its own numpy, reading the MLP's (w1, b1, w2, b2) row-major and then
+    # (log u1, log u2); a map that sliced its vector otherwise would fail it
+    check, workloads = _benchmark("check"), _benchmark("workloads")
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(32, workloads.INPUTS))
+    for name, workload in workloads.WORKLOADS.items():
+        cfg = workload.config("unread.csv", "minimax")
+        fmap = build_feature_map(cfg, workloads.INPUTS)
+        flat = 0.5 * rng.normal(size=fmap.n_params)
+        # read in as a step reads a parameter vector, through theta's with_flat
+        theta = HyperParams(np.zeros(fmap.output_dim), fmap.init_params(0), 1.0)
+        params = theta.with_flat(np.concatenate([theta.weights, flat, [1.0]])).feature_params
+        ours = fmap.forward(params, X).Z
+        phi = check.FeatureMap(cfg)
+        theirs = phi(flat, X)
+        if cfg.feature_map == "mlp":
+            assert np.array_equal(ours, theirs), name
+            continue
+        # cos and sin come from one tan here and from libm there: 4 eps amp
+        # apart at the same argument, plus the projections' rounding
+        Y = check._mlp(flat, X, cfg.mlp_hidden, cfg.mlp_out)
+        size = np.abs(Y) @ np.abs(phi.W.T) / np.exp(flat[-2])
+        amp = np.sqrt(2.0 * np.exp(flat[-1]) / cfg.rff_dim)
+        bound = amp * eps * (4.0 + 2.0 * (Y.shape[1] + 1) * size)
+        assert np.all(np.abs(ours - theirs) <= np.hstack([bound, bound])), name
+
+
+@pytest.mark.parametrize("rule", ["minimax", "scgd", "bsgd"])
+def test_the_sweeps_stepper_takes_two_steps(rule):
+    # benchmarks/sweep.py builds each step rule's start and step itself
+    sweep = _benchmark("sweep")
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(12, 3)), rng.normal(size=12)
+    for fmap in (LinearMap(3), MLPMap(MLPSpec(3, (4, 5)))):
+        step, state = sweep._stepper(rule, fmap, X, y, 4, rng)
+        state = step(step(state))
+        theta = state[0].theta if rule == "minimax" else getattr(state, "theta", state)
+        assert theta.flat.shape == (fmap.output_dim + fmap.n_params + 1,)
 
 
 STEP_RULES = ("minimax_step", "scgd_step", "bsgd_step")

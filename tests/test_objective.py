@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 
 from instances import instance
 from stochgp._linalg import NotPositiveDefiniteError
-from stochgp.features import LinearMap, MLPMap, MLPSpec
+from stochgp.features import FeatureMapParams, LinearMap, MLPMap, MLPSpec
 from stochgp.objective import HyperParams, info_matrix
 from stochgp.oracles import (
     decomposition_gap,
@@ -40,7 +40,7 @@ def zero_feature_instance(n=6, p=2, d=3, sigma2=0.7, seed=0):
     # all-zero network weights force phi(x) = 0 for every x
     rng = np.random.default_rng(seed)
     fmap = MLPMap(MLPSpec(p, (4, d)))
-    params = fmap.params_from_flat(np.zeros(fmap.n_params))
+    params = FeatureMapParams(np.zeros(fmap.n_params))
     theta = HyperParams(np.zeros(d), params, sigma2)
     return fmap, theta, rng.normal(size=(n, p)), rng.normal(size=n)
 
@@ -58,7 +58,20 @@ class TestHyperParams:
                 f = theta.feature_params.flat.copy()
                 f[1] = bad
                 with pytest.raises(ValueError, match="feature parameters contain non-finite"):
-                    HyperParams(theta.weights, theta.feature_params.with_flat(f), 1.0)
+                    HyperParams(theta.weights, FeatureMapParams(f), 1.0)
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp", "mlp+rff"])
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_with_flat_rejects_a_vector_of_another_length(self, kind, off):
+        # one entry short, a linear point used to read its last weight as the noise
+        _, theta, _, _ = instance(0, 1, kind, p=3)
+        v = np.arange(1.0, theta.flat.size + off + 1)
+        message = r"shape \(%d,\), this point's flat has shape \(%d,\)" % (v.size, theta.flat.size)
+        with pytest.raises(ValueError, match=message):
+            theta.with_flat(v)
+        short = HyperParams(np.array([1.0, 2.0, 3.0]), LinearMap(3).init_params(0), 0.5)
+        with pytest.raises(ValueError, match="theta vector has shape"):
+            short.with_flat(np.array([1.0, 2.0, 3.0]))
 
     def test_rejects_matrix_weights(self):
         with pytest.raises(ValueError, match="1-d"):
@@ -68,14 +81,14 @@ class TestHyperParams:
         # flat lays theta out as weights, feature-map parameters, noise variance
         _, theta, _, _ = instance(3, 1, "mlp")
         v = theta.flat
-        d, k = theta.d, theta.feature_params.n_params
+        d, k = theta.d, theta.feature_params.flat.size
         assert v.shape == (d + k + 1,)
         np.testing.assert_array_equal(v[:d], theta.weights)
         np.testing.assert_array_equal(v[d:-1], theta.feature_params.flat)
         assert v[-1] == theta.noise_variance
         back = theta.with_flat(v)
         np.testing.assert_array_equal(back.flat, v)
-        assert back.feature_params.layout == theta.feature_params.layout
+        np.testing.assert_array_equal(back.feature_params.flat, theta.feature_params.flat)
         # a gradient is a plain vector in that layout: scaling and norms are numpy's
         g = np.zeros_like(v)
         g[:2] = [3.0, 4.0]

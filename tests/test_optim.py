@@ -13,7 +13,7 @@ import stochgp.objective
 import stochgp.optim
 from instances import feasible_surrogate, instance
 from stochgp._linalg import NotPositiveDefiniteError, diagonal, gram, symmetrize
-from stochgp.features import LinearMap, MLPMap, MLPSpec
+from stochgp.features import FeatureMapParams, LinearMap, MLPMap, MLPSpec
 from stochgp.harness import _Evaluator
 from stochgp.objective import HyperParams, _row_blocks, info_matrix
 from stochgp.optim import (
@@ -226,7 +226,7 @@ class TestProjectPrimal:
 
     def test_coordinate_bound(self):
         fmap = MLPMap(MLPSpec(2, (3, 2)))
-        params = fmap.params_from_flat(np.full(fmap.n_params, 50.0))
+        params = FeatureMapParams(np.full(fmap.n_params, 50.0))
         theta = HyperParams(np.array([-70.0, 3.0]), params, 2.0)
         zeta = AugmentedState(theta, 5.0 * np.eye(2))
         out = project_primal(zeta, sigma_min=1e-3, coord_bound=10.0)
@@ -265,7 +265,7 @@ class TestProjectPrimal:
         params = MLPMap(MLPSpec(2, (2, 2))).init_params(0)
 
         def project(w, flat, s2, coord_bound=1e6):
-            theta = HyperParams(w, params.with_flat(flat), s2)
+            theta = HyperParams(w, FeatureMapParams(flat), s2)
             return project_primal(AugmentedState(theta, np.eye(2)), 0.05, coord_bound).theta
 
         for _ in range(25):
@@ -274,7 +274,7 @@ class TestProjectPrimal:
             ca, cb = (project(w, params.flat, s).noise_variance for s in (s_a, s_b))
             assert abs(ca - cb) <= abs(s_a - s_b) + 1e-15
 
-            u, v = rng.normal(size=(2, 2 + params.n_params)) * 12
+            u, v = rng.normal(size=(2, 2 + params.flat.size)) * 12
             s = rng.uniform(0.1, 1.0)
             pa, pb = project(u[:2], u[2:], s, 8.0), project(v[:2], v[2:], s, 8.0)
             moved = np.concatenate(
@@ -320,7 +320,7 @@ class TestProjectPrimal:
         # stay above sigma_min^2, so the feasible set is never empty
         rng = np.random.default_rng(seed)
         fmap = MLPMap(MLPSpec(2, (3, d)))
-        params = fmap.params_from_flat(rng.normal(size=fmap.n_params) * 10 ** rng.uniform(0, 3))
+        params = FeatureMapParams(rng.normal(size=fmap.n_params) * 10 ** rng.uniform(0, 3))
         theta = HyperParams(
             rng.normal(size=d) * 10 ** rng.uniform(0, 3), params, noise_frac * sigma_min**2
         )
@@ -436,7 +436,7 @@ class TestMinimaxStep:
         raw = AugmentedState(
             HyperParams(
                 v[:d],
-                theta.feature_params.with_flat(v[d:-1]),
+                FeatureMapParams(v[d:-1]),
                 max(v[-1], cfg.sigma_min**2),
             ),
             zeta.info_surrogate - a * g_A,
