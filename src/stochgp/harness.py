@@ -33,7 +33,9 @@ under np.errstate(over="raise", invalid="raise", divide="raise"), so a
 floating-point overflow, invalid operation or division by zero in a step is
 such an error and names itself; underflow stays silent. The evaluation runs
 outside; when it raises, the reason is "non-finite NLL" followed by the
-exception's class and message.
+exception's class and message. When an ``scgd`` step raised, the reason
+adds its tracker's extreme eigenvalues, and "so rounding decides its
+factorization" when the smaller is <= 0 or their ratio exceeds 1/eps.
 """
 
 from __future__ import annotations
@@ -524,6 +526,12 @@ def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
                 elif grad_norm > GRAD_DIVERGENCE_NORM:
                     reason = "gradient norm %g above 1e12" % grad_norm
                     nll = math.inf
+        elif cfg.optimizer == "scgd":
+            # a step raised; hi / lo > 1/eps multiplied out, since lo / eps can overflow
+            lo, hi = np.linalg.eigvalsh(scgd_state.tracked_info)[[0, -1]]
+            reason += "; tracker eigenvalues %.3g to %.3g" % (lo, hi)
+            if lo <= 0.0 or hi * np.finfo(np.float64).eps > lo:
+                reason += ", so rounding decides its factorization"
         record.epochs.append({"epoch": epoch, "nll": nll, "wall_ms": wall_ms})
         if reason is not None:
             # counted once, here: the step loop never looks at the bound

@@ -67,8 +67,6 @@ __all__ = [
     "schedule_at",
 ]
 
-TRACKER_FLOOR = 1e-10
-
 
 def _square_f64(A: np.ndarray, d: int, name: str) -> np.ndarray:
     A = np.ascontiguousarray(np.asarray(A, dtype=np.float64))
@@ -278,8 +276,8 @@ def project_primal(
     return _unchecked(AugmentedState, theta=theta, info_surrogate=A)
 
 
-def _clamp_eigs(A: np.ndarray, lo: float, hi: float | None = None) -> np.ndarray:
-    """Symmetric A with its eigenvalues clipped to [lo, hi] (no cap for hi=None)."""
+def _clamp_eigs(A: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Symmetric A with its eigenvalues clipped to [lo, hi]: ``project_primal``'s repair."""
     vals, vecs = np.linalg.eigh(A)
     np.clip(vals, lo, hi, out=vals)
     # kept: the (i, j) and (j, i) products of the reconstruction round differently
@@ -378,9 +376,10 @@ def scgd_step(
     """One compositional update.
 
     Parameters move against the gradient of the batch loss linearized at the
-    tracked information matrix (applied through its Cholesky factor, never an
-    explicit inverse); the tracker then takes a convex step toward the
-    rescaled batch information sum evaluated at the pre-step parameters.
+    tracked information matrix, through its one Cholesky factor (no inverse,
+    no repair); the tracker then takes a convex step toward the rescaled batch
+    information sum at the pre-step parameters, which keeps it positive
+    definite in exact arithmetic. A failed factorization names the iteration.
     """
     if not 0.0 < b_t <= 1.0:
         raise ValueError("averaging weight must lie in (0, 1]")
@@ -389,14 +388,7 @@ def scgd_step(
     n = len(X)
     theta = state.theta
 
-    F = state.tracked_info
-    try:
-        L = chol_lower(F)
-    except NotPositiveDefiniteError:
-        # the convex tracker update keeps this positive definite in exact
-        # arithmetic; restore the floor and retry before giving up
-        F = _clamp_eigs(F, TRACKER_FLOOR)
-        L = chol_lower(F, "tracked information matrix at iteration %d" % state.step)
+    L = chol_lower(state.tracked_info, "tracked information matrix at iteration %d" % state.step)
 
     fb = fmap.forward(theta.feature_params, _rows(X, batch))
     Z = fb.Z
@@ -407,7 +399,7 @@ def scgd_step(
     g = _linearized_core(fmap, theta, fb, _rows(y, batch), ZM, float(np.sum(Li * Li)), n)
     theta_next = _descend(theta, g, a_t, sigma_min)
 
-    tracked = (1.0 - b_t) * F + b_t * _batch_info(Z, n, theta.noise_variance)
+    tracked = (1.0 - b_t) * state.tracked_info + b_t * _batch_info(Z, n, theta.noise_variance)
     return SCGDState(theta_next, tracked, state.step + 1)
 
 

@@ -285,6 +285,25 @@ class TestDrawEpoch:
 
 # the log-u1 overflow recipe's data, read as its covariance-factor draw
 RECIPE_SPEC = SynthSpec(n=200, p=3, d=3, sigma2=0.3, seed=5)
+# a diverged scgd run's reason when its step could not factor the tracker
+TRACKER_NPD = (
+    "NotPositiveDefiniteError: tracked information matrix at iteration %d:"
+    " not positive definite (failing pivot %d)"
+)
+# scgd on the blow-up recipe: (draw, rate, reason before the tracker's
+# eigenvalues, diverge_step), or a run that finishes its 3 epochs; the
+# covariance draw at rate 1e2 is test_scgd_blow_up_names_its_overflow
+SCGD_RECIPE = [
+    ("weight", 1e-3, None, None),
+    ("weight", 1e-2, None, None),
+    ("weight", 0.1, TRACKER_NPD % (4, 3), 5),
+    ("weight", 1.0, TRACKER_NPD % (4, 3), 5),
+    ("weight", 1e2, TRACKER_NPD % (3, 2), 4),
+    ("covariance", 1e-3, None, None),
+    ("covariance", 1e-2, None, None),
+    ("covariance", 0.1, TRACKER_NPD % (5, 3), 6),
+    ("covariance", 1.0, TRACKER_NPD % (3, 3), 4),
+]
 
 
 def _small_cfg(**overrides):
@@ -433,8 +452,47 @@ class TestRunExperiment:
         )
         rec = run_experiment(cfg)
         assert rec.diverged
-        assert rec.diverge_reason == "FloatingPointError: overflow encountered in matmul"
+        assert rec.diverge_reason == (
+            "FloatingPointError: overflow encountered in matmul; tracker eigenvalues"
+            " 2.14e+51 to 5.85e+67, so rounding decides its factorization"
+        )
         assert (rec.diverge_epoch, rec.diverge_step) == (1, 4)
+
+    @pytest.mark.parametrize(
+        "draw, rate, head, step", SCGD_RECIPE, ids=["%s-%g" % case[:2] for case in SCGD_RECIPE]
+    )
+    def test_scgd_blow_up_names_the_trackers_conditioning(self, draw, rate, head, step, tmp_path):
+        # the blow-up recipe on both draws: the tracker is factored once, and
+        # a step that raises leaves a reason ending in the last tracker's
+        # extreme eigenvalues, here always past where rounding decides
+        spec = SynthSpec(n=60, p=2, d=2, sigma2=0.5, seed=0)
+        if draw == "weight":
+            data = {"synth": spec}
+        else:
+            data = {"data_path": covariance_draw_csv(spec, tmp_path)}
+        cfg = ExperimentConfig(
+            **data,
+            feature_map="mlp",
+            mlp_hidden=3,
+            mlp_out=3,
+            batch_size=8,
+            optimizer="scgd",
+            learning_rate=rate,
+            epochs=3,
+        )
+        rec = run_experiment(cfg)
+        if head is None:
+            assert not rec.diverged and len(rec.epochs) == 3
+            return
+        found = re.fullmatch(
+            re.escape(head) + r"; tracker eigenvalues (\S+) to (\S+),"
+            r" so rounding decides its factorization",
+            rec.diverge_reason,
+        )
+        assert found, rec.diverge_reason
+        lo, hi = map(float, found.groups())
+        assert lo <= 0.0 or hi * np.finfo(np.float64).eps > lo
+        assert (rec.diverge_epoch, rec.diverge_step) == (1, step)
 
     @pytest.mark.parametrize("rate", [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
     def test_bsgd_blow_up_names_the_swamped_shift(self, rate):

@@ -562,22 +562,56 @@ class TestSCGD:
         g = grad_theta_of_linearized(fmap, theta, X[idx], y[idx], M, 8)
         np.testing.assert_allclose((theta.flat - out.theta.flat) / a, g, rtol=1e-10)
 
-    def test_indefinite_tracker_is_floored(self):
+    def test_indefinite_tracker_is_named_not_repaired(self, monkeypatch):
+        # the step factors its tracker once; an indefinite one raises from
+        # that factorization, named with the iteration that read it
         fmap, theta, X, y = instance(32, n=6)
         state = SCGDState(theta, np.diag([1.0, -0.5]), 3)
-        out = scgd_step(fmap, state, X, y, np.array([0, 1]), a_t=1e-4, b_t=0.5)
-        assert np.all(np.isfinite(out.theta.weights))
-        assert out.step == 4
+        calls = Counter()
+        TestCallBudget.count_calls(monkeypatch, calls, stochgp._linalg, "_potrf")
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            scgd_step(fmap, state, X, y, np.array([0, 1]), a_t=1e-4, b_t=0.5)
+        assert str(exc.value) == (
+            "tracked information matrix at iteration 3: not positive definite (failing pivot 2)"
+        )
+        assert calls["_potrf"] == 1
 
-    def test_tracker_past_repair_reports_failing_pivot(self):
-        # eigenvalues 1e20 and -1: after the floor the rebuilt matrix is still
-        # indefinite in floating point, so the step raises with LAPACK's pivot
+    def test_far_indefinite_tracker_reports_failing_pivot(self):
+        # eigenvalues 1e20 and -1: the step raises with LAPACK's pivot
         fmap, theta, X, y = instance(35, n=6)
         Q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2)))
         state = SCGDState(theta, symmetrize((Q * np.array([1e20, -1.0])) @ Q.T), 6)
         with pytest.raises(NotPositiveDefiniteError, match="iteration 6") as exc:
             scgd_step(fmap, state, X, y, np.array([0, 1]), a_t=1e-3, b_t=0.9)
         assert exc.value.pivot >= 1
+
+    @settings(max_examples=60)
+    @given(
+        kind=st.sampled_from(["linear", "mlp", "mlp+rff"]),
+        log_cond=st.floats(0.0, 8.0),
+        log_scale=st.floats(-3.0, 3.0),
+        b=st.floats(0.0, 1.0, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tracker_update_keeps_the_smallest_eigenvalue(self, kind, log_cond, log_scale, b, seed):
+        # the premise that lets the step factor its tracker once, unrepaired:
+        # the new tracker (1 - b) F + b ((n/s) Z^T Z + s2 I) has smallest
+        # eigenvalue at least (1 - b) lmin(F) + b s2 (Weyl), up to rounding,
+        # so a positive definite F with cond(F) <= 1e8 never makes it raise.
+        # The rounding allowance, 16 eps ||F_next||_F, covers the batch Gram,
+        # the convex combination and eigvalsh: each term's norm is at most
+        # that of F_next, a sum of positive semidefinite matrices
+        fmap, theta, X, y = instance(seed, 12, kind=kind)
+        d = fmap.output_dim
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        F = symmetrize((Q * 10.0**log_scale * np.logspace(0.0, log_cond, d)) @ Q.T)
+        lo_F, hi_F = np.linalg.eigvalsh(F)[[0, -1]]
+        assert hi_F / lo_F <= 1.001e8
+        out = scgd_step(fmap, SCGDState(theta, F, 1), X, y, rng.integers(0, 12, size=4), 1e-4, b)
+        tol = 16 * np.finfo(np.float64).eps * np.linalg.norm(out.tracked_info)
+        weyl = (1.0 - b) * lo_F + b * theta.noise_variance
+        assert np.linalg.eigvalsh(out.tracked_info)[0] >= weyl - tol
 
     def test_noise_clamped_at_floor(self):
         fmap, theta, X, y = instance(33, n=6, sigma2=0.01)
@@ -601,10 +635,11 @@ class TestSCGD:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_step_reads_only_the_trackers_lower_triangle(self, d, indefinite, scale, seed):
-        # potrf and eigh read the lower triangle, and the step does not
-        # symmetrize the tracker it returns, so what lies above the diagonal
-        # of the incoming tracker reaches neither theta nor the new tracker's
-        # lower triangle. A lowered diagonal takes the step through the floor
+        # potrf reads the lower triangle, and the step does not symmetrize
+        # the tracker it returns, so what lies above the diagonal of the
+        # incoming tracker reaches neither theta nor the new tracker's lower
+        # triangle. A lowered diagonal makes the tracker indefinite, and both
+        # steps then fail on it alike
         fmap, theta, X, y = instance(seed, 30, p=3, hidden=8, d=d)
         rng = np.random.default_rng(seed)
         F = info_matrix(fmap, theta, X)
@@ -622,8 +657,9 @@ class TestSCGD:
                 return str(exc)
 
         a, b = step(F), step(P)
-        if isinstance(a, str):
-            assert a == b
+        if indefinite:
+            assert isinstance(a, str) and a == b
+            assert a.startswith("tracked information matrix at iteration 2: not positive definite")
             return
         assert np.array_equal(a.theta.flat, b.theta.flat)
         assert np.array_equal(np.tril(a.tracked_info), np.tril(b.tracked_info))
