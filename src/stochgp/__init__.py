@@ -6,9 +6,11 @@ collapses to a d-dimensional ridge problem plus a d x d log-determinant. The
 package provides three stochastic optimizers over the per-sample split of
 that loss (a penalty-based minimax method, a compositional two-rate method,
 and the biased batch baseline) and an experiment harness with a command-line
-front end. The reference computations that check them (per-sample terms,
-exact oracles) are in :mod:`stochgp.oracles`, which only ``stochgp check``
-and the tests import; ``posterior`` is library API that no run calls.
+front end. A feature map's parameters are a plain float64 vector, and the
+parameter point is one, ``HyperParams.flat``. The reference computations
+that check them (per-sample terms, exact oracles) are in
+:mod:`stochgp.oracles`, which only ``stochgp check`` and the tests import;
+``posterior`` is library API that no run calls.
 """
 
 from stochgp.data import Dataset, Scaler, load_csv, split, standardize
@@ -16,7 +18,6 @@ from stochgp.features import (
     ComposedMap,
     FeatureBatch,
     FeatureMap,
-    FeatureMapParams,
     LinearMap,
     MLPMap,
     MLPSpec,

@@ -2,17 +2,17 @@
 
 Three maps are provided: an identity (linear) embedding, a two-layer ReLU
 MLP, and a random Fourier feature map approximating a Gaussian kernel, plus
-their composition. Each map consumes a flat parameter vector of its
-``n_params`` entries, which it slices itself by the layout its docstring
-documents; a forward given a vector of another length raises. ``backward``
-returns the exact gradient of ``sum_i <upstream_i, phi(x_i)>`` with respect
-to that vector, laid out the same way.
+their composition. Each map's parameters are one plain float64 vector of
+its ``n_params`` entries, which it slices itself by the layout its
+docstring documents; a forward given a vector of another length raises.
+``backward`` returns the exact gradient of ``sum_i <upstream_i, phi(x_i)>``
+with respect to that vector, laid out the same way.
 
 No general autodiff: the chain rules here are written by hand and checked
 against finite differences in the test suite. Forward passes are pure
 functions of (params, inputs); the returned FeatureBatch carries whatever
-intermediates the backward pass needs and the parameter object it came
-from, so a backward given any other object, even an equal-valued copy,
+intermediates the backward pass needs and the parameter vector it came
+from, so a backward given any other array, even an equal-valued copy,
 rejects the stale cache instead of silently producing wrong gradients.
 
 ``RFFMap.forward`` takes each cos/sin pair from one half-angle tangent,
@@ -47,7 +47,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "FeatureMapParams",
     "FeatureBatch",
     "FeatureMap",
     "LinearMap",
@@ -58,35 +57,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FeatureMapParams:
-    """A map's flat learnable parameter vector, float64 and contiguous.
-
-    The map it is given to slices it as that map documents. A feature batch
-    is tied to the object it was computed from, by identity, so every
-    constructor call makes a new object, whatever the values.
-    """
-
-    flat: np.ndarray
-
-    def __post_init__(self):
-        flat = np.ascontiguousarray(np.asarray(self.flat, dtype=np.float64))
-        if flat.ndim != 1:
-            raise ValueError("flat parameter vector must be 1-d")
-        object.__setattr__(self, "flat", flat)
-
-
 @dataclass
 class FeatureBatch:
-    """Features for one batch, cached intermediates, and the params object they came from."""
+    """Features for one batch, cached intermediates, and the parameter vector they came from."""
 
     Z: np.ndarray
     cache: dict
-    params: FeatureMapParams
+    params: np.ndarray
 
 
-def _check_cache(params: FeatureMapParams, batch: FeatureBatch):
-    # identity, not ==: the generated __eq__ compares arrays
+def _check_cache(params: np.ndarray, batch: FeatureBatch):
+    # identity, not values: an equal-valued copy is another array
     if batch.params is not params:
         raise ValueError("stale feature cache: batch computed from another params object")
 
@@ -104,25 +85,25 @@ class FeatureMap(abc.ABC):
     n_params: int
 
     @abc.abstractmethod
-    def init_params(self, seed: int) -> FeatureMapParams: ...
+    def init_params(self, seed: int) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def forward(self, params: FeatureMapParams, X: np.ndarray) -> FeatureBatch: ...
+    def forward(self, params: np.ndarray, X: np.ndarray) -> FeatureBatch: ...
 
     @abc.abstractmethod
     def backward_with_inputs(
-        self, params: FeatureMapParams, batch: FeatureBatch, upstream: np.ndarray
+        self, params: np.ndarray, batch: FeatureBatch, upstream: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Gradients of sum_i <upstream_i, phi(x_i)> w.r.t. (flat params, inputs)."""
 
-    def backward(
-        self, params: FeatureMapParams, batch: FeatureBatch, upstream: np.ndarray
-    ) -> np.ndarray:
+    def backward(self, params: np.ndarray, batch: FeatureBatch, upstream: np.ndarray) -> np.ndarray:
         return self.backward_with_inputs(params, batch, upstream)[0]
 
-    def _flat(self, params: FeatureMapParams) -> np.ndarray:
-        """``params.flat``, checked to hold this map's ``n_params`` entries."""
-        flat = params.flat
+    def _flat(self, params: np.ndarray) -> np.ndarray:
+        """``params`` as a float64 vector (itself if it is one) of ``n_params`` entries."""
+        flat = np.asarray(params, dtype=np.float64)
+        if flat.ndim != 1:
+            raise ValueError("flat parameter vector must be 1-d")
         if flat.shape[0] != self.n_params:
             raise ValueError(
                 "parameter vector has %d entries, map expects %d" % (flat.shape[0], self.n_params)
@@ -147,13 +128,12 @@ class LinearMap(FeatureMap):
         self.input_dim = int(dim)
         self.output_dim = int(dim)
 
-    def init_params(self, seed: int) -> FeatureMapParams:
-        return FeatureMapParams(np.empty(0))
+    def init_params(self, seed: int) -> np.ndarray:
+        return np.empty(0)
 
     def forward(self, params, X):
-        self._flat(params)
-        X = self._check_input(X)
-        return FeatureBatch(X, {}, params)
+        flat = self._flat(params)
+        return FeatureBatch(self._check_input(X), {}, flat)
 
     def backward_with_inputs(self, params, batch, upstream):
         _check_cache(params, batch)
@@ -192,28 +172,27 @@ class MLPMap(FeatureMap):
         p, h, d = self.input_dim, self.hidden_dim, self.output_dim
         self.n_params = h * p + h + d * h + d
 
-    def _weights(self, params):
+    def _weights(self, flat):
         """(w1, b1, w2, b2) as views of the checked flat vector."""
         p, h, d = self.input_dim, self.hidden_dim, self.output_dim
-        flat = self._flat(params)
         b1, w2, b2 = h * p, h * p + h, h * p + h + d * h
         return flat[:b1].reshape(h, p), flat[b1:w2], flat[w2:b2].reshape(d, h), flat[b2:]
 
-    def init_params(self, seed: int) -> FeatureMapParams:
+    def init_params(self, seed: int) -> np.ndarray:
         p, h, d = self.input_dim, self.hidden_dim, self.output_dim
         rng = np.random.default_rng(seed)
         w1 = rng.uniform(-1.0, 1.0, size=(h, p)) * np.sqrt(6.0 / p)
         w2 = rng.uniform(-1.0, 1.0, size=(d, h)) * np.sqrt(6.0 / h)
-        flat = np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(d)])
-        return FeatureMapParams(flat)
+        return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(d)])
 
     def forward(self, params, X):
-        w1, b1, w2, b2 = self._weights(params)
+        flat = self._flat(params)
+        w1, b1, w2, b2 = self._weights(flat)
         X = self._check_input(X)
         pre1 = X @ w1.T + b1
         hidden = np.maximum(pre1, 0.0)
         Z = hidden @ w2.T + b2
-        return FeatureBatch(Z, {"X": X, "hidden": hidden}, params)
+        return FeatureBatch(Z, {"X": X, "hidden": hidden}, flat)
 
     def backward_with_inputs(self, params, batch, upstream):
         _check_cache(params, batch)
@@ -365,9 +344,9 @@ class RFFMap(FeatureMap):
         self.init_u2 = float(init_u2)
         self.frequencies = _frequencies(self.input_dim, self.output_dim // 2, self.seed)
 
-    def init_params(self, seed: int) -> FeatureMapParams:
+    def init_params(self, seed: int) -> np.ndarray:
         # the draw is fixed at construction; seed is unused here by design
-        return FeatureMapParams(np.array([np.log(self.init_u1), np.log(self.init_u2)]))
+        return np.array([np.log(self.init_u1), np.log(self.init_u2)])
 
     def forward(self, params, X):
         flat = self._flat(params)
@@ -397,7 +376,7 @@ class RFFMap(FeatureMap):
         np.multiply(t, 2.0, out=sin_half)
         sin_half *= r
         cache = {"proj": proj, "u1": u1}
-        return FeatureBatch(Z, cache, params)
+        return FeatureBatch(Z, cache, flat)
 
     def backward_with_inputs(self, params, batch, upstream):
         _check_cache(params, batch)
@@ -432,20 +411,18 @@ class ComposedMap(FeatureMap):
         self.output_dim = outer.output_dim
         self.n_params = inner.n_params + outer.n_params
 
-    def init_params(self, seed: int) -> FeatureMapParams:
-        inner = self.inner.init_params(seed)
-        outer = self.outer.init_params(seed + 1)
-        return FeatureMapParams(np.concatenate([inner.flat, outer.flat]))
+    def init_params(self, seed: int) -> np.ndarray:
+        return np.concatenate([self.inner.init_params(seed), self.outer.init_params(seed + 1)])
 
     def forward(self, params, X):
         flat, k = self._flat(params), self.inner.n_params
-        inner = self.inner.forward(FeatureMapParams(flat[:k]), X)
-        outer = self.outer.forward(FeatureMapParams(flat[k:]), inner.Z)
-        return FeatureBatch(outer.Z, {"inner": inner, "outer": outer}, params)
+        inner = self.inner.forward(flat[:k], X)
+        outer = self.outer.forward(flat[k:], inner.Z)
+        return FeatureBatch(outer.Z, {"inner": inner, "outer": outer}, flat)
 
     def backward_with_inputs(self, params, batch, upstream):
         _check_cache(params, batch)
-        # each sub-batch holds the sub-parameters it was computed from
+        # each sub-batch holds the view of its slice it was computed from
         inner, outer = batch.cache["inner"], batch.cache["outer"]
         g_outer, up_inner = self.outer.backward_with_inputs(outer.params, outer, upstream)
         g_inner, g_inputs = self.inner.backward_with_inputs(inner.params, inner, up_inner)

@@ -151,7 +151,7 @@ def gen_synthetic(spec: SynthSpec, draw_seed: int | None = None):
         "map_kind": spec.map_kind,
         "sigma2": spec.sigma2,
         "seed": spec.seed,
-        "feature_flat": params.flat.tolist(),
+        "feature_flat": params.tolist(),
     }
     return Dataset(X, y, names), truth
 
@@ -218,6 +218,9 @@ class ExperimentConfig:
         for name, value in scalars:
             if not 0.0 < value < math.inf:
                 raise ValueError("%s must be finite and positive, got %r" % (name, value))
+        if len(set(self.grid)) < len(self.grid):
+            repeated = max(self.grid, key=self.grid.count)
+            raise ValueError("learning-rate grid names %r more than once" % repeated)
         # the averaging weight's range under the schedule
         Schedule(self.schedule, 1.0, self.b0)
         if self.feature_map != "linear" and min(self.mlp_hidden, self.mlp_out) < 1:
@@ -550,7 +553,7 @@ def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
 
     record.best_nll, record.best_epoch, best_theta, best_w = best
     record.best_weights = best_theta.weights.tolist()
-    record.best_feature_flat = best_theta.feature_params.flat.tolist()
+    record.best_feature_flat = best_theta.feature_params.tolist()
     record.best_noise_variance = best_theta.noise_variance
 
     marginal, learned = _test_predictions(fmap, best_theta, best_w, prep.X_test)

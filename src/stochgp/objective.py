@@ -19,13 +19,12 @@ per-sample terms, the whole loss, the kernel-space oracle) are in
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from stochgp._linalg import gram_upper, mirror_upper
-from stochgp.features import FeatureBatch, FeatureMap, FeatureMapParams
+from stochgp.features import FeatureBatch, FeatureMap
 
 __all__ = ["BLOCK_FLOATS", "HyperParams", "info_matrix"]
 
@@ -40,54 +39,61 @@ BLOCK_FLOATS = 2**16
 class HyperParams:
     """The full parameter point: ridge weights, feature-map params, noise variance.
 
-    Positivity of ``noise_variance`` is a precondition of the loss terms, not
-    of construction, so that raw gradient steps can be represented before a
-    projection restores feasibility. All entries must be finite. ``flat``
-    is the point as one vector (weights, feature-map parameters, noise
-    variance), the layout of every gradient over theta; ``with_flat`` inverts it.
+    Stored once, as ``flat``: one read-only float64 vector (weights, the
+    map's parameters, noise variance), the layout of every gradient over
+    theta. ``weights`` and ``feature_params`` are views of it, made once, so
+    a feature batch ties to ``feature_params`` by identity. Positivity of
+    ``noise_variance`` is a precondition of the loss terms, not of
+    construction, so that raw gradient steps can be represented before a
+    projection restores feasibility. All entries must be finite.
     """
 
     weights: np.ndarray
-    feature_params: FeatureMapParams
+    feature_params: np.ndarray
     noise_variance: float
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
+        w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1:
             raise ValueError("weights must be a 1-d vector, got shape %s" % (w.shape,))
-        if not np.isfinite(w).all():
-            raise ValueError("weights contain non-finite entries")
-        if not np.isfinite(self.feature_params.flat).all():
-            raise ValueError("feature parameters contain non-finite entries")
-        s2 = float(self.noise_variance)
-        if not math.isfinite(s2):
+        alpha = np.asarray(self.feature_params, dtype=np.float64)
+        if alpha.ndim != 1:
+            raise ValueError("flat parameter vector must be 1-d")
+        self._wrap(np.concatenate((w, alpha, (float(self.noise_variance),))), w.shape[0])
+
+    def _wrap(self, flat: np.ndarray, d: int) -> "HyperParams":
+        """Check ``flat`` once, freeze it and set the views of its d weights and the rest."""
+        if not np.isfinite(flat).all():
+            if not np.isfinite(flat[:d]).all():
+                raise ValueError("weights contain non-finite entries")
+            if not np.isfinite(flat[d:-1]).all():
+                raise ValueError("feature parameters contain non-finite entries")
             raise ValueError("noise_variance is not finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "noise_variance", s2)
+        flat.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "weights", flat[:d])
+        object.__setattr__(self, "feature_params", flat[d:-1])
+        object.__setattr__(self, "noise_variance", float(flat[-1]))
+        return self
 
     @property
     def d(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def flat(self) -> np.ndarray:
-        """Weights, flat feature-map parameters and noise variance as one new vector."""
-        return np.concatenate((self.weights, self.feature_params.flat, (self.noise_variance,)))
-
     def with_flat(self, v: np.ndarray) -> "HyperParams":
-        """The checked parameter point whose ``flat`` is v, split as this point's ``flat`` is.
+        """The checked point whose ``flat`` is a copy of v, so a later write to v moves nothing.
 
-        v must have this point's shape: d weights, the map's parameters and
-        the noise variance. A vector of another length is rejected, since
-        the split would hand its shortfall or surplus to the noise variance.
+        v must have this point's shape: a vector of another length would hand
+        its shortfall or surplus to the noise variance, so it is rejected.
         """
-        d, k = self.d, self.feature_params.flat.shape[0]
-        if np.shape(v) != (d + k + 1,):
+        flat = np.array(v, dtype=np.float64)
+        if flat.shape != self.flat.shape:
             raise ValueError(
                 "theta vector has shape %s, this point's flat has shape %s"
-                % (np.shape(v), (d + k + 1,))
+                % (flat.shape, self.flat.shape)
             )
-        return HyperParams(v[:d], FeatureMapParams(v[d:-1]), v[-1])
+        return object.__new__(HyperParams)._wrap(flat, self.d)
 
 
 def _check_noise(noise_variance: float) -> float:
@@ -107,7 +113,7 @@ def _row_blocks(n: int, d: int, rows: int | None = None) -> list[slice]:
     return [slice(start, min(start + step, n)) for start in range(0, max(n, 1), step)]
 
 
-def _feature_blocks(fmap: FeatureMap, feature_params: FeatureMapParams, X: np.ndarray):
+def _feature_blocks(fmap: FeatureMap, feature_params: np.ndarray, X: np.ndarray):
     """(row slice, FeatureBatch) of each row block of X in turn, one block computed at a time."""
     for rows in _row_blocks(len(X), fmap.output_dim):
         yield rows, fmap.forward(feature_params, X[rows])
@@ -115,7 +121,7 @@ def _feature_blocks(fmap: FeatureMap, feature_params: FeatureMapParams, X: np.nd
 
 def _ridge_system(
     fmap: FeatureMap,
-    feature_params: FeatureMapParams,
+    feature_params: np.ndarray,
     s2: float,
     X: np.ndarray,
     y: np.ndarray | None = None,

@@ -49,7 +49,7 @@ from stochgp._linalg import (
     tri_inverse_lower,
     try_chol_lower,
 )
-from stochgp.features import FeatureMap, FeatureMapParams
+from stochgp.features import FeatureMap
 from stochgp.objective import HyperParams, _linearized_core, info_matrix
 
 __all__ = [
@@ -245,26 +245,24 @@ def project_primal(
 
     Order matters: (1) clamp the noise variance to [sigma_min^2, coord_bound];
     (2) clamp every weight and feature-map coordinate to [-coord_bound,
-    coord_bound]; (3) symmetrize the surrogate and clamp its eigenvalues to
-    [clamped noise variance, eig_bound]. This is a composition of per-block
-    projections, not the Euclidean projection onto the joint set (the
-    surrogate's feasible cone depends on the clamped noise), so it is
-    non-expansive within each block for a fixed feasible set but not jointly;
-    its fixed points are exactly the feasible states.
+    coord_bound], one clip of ``theta.flat``; (3) symmetrize the surrogate
+    and clamp its eigenvalues to [clamped noise variance, eig_bound]. This is
+    a composition of per-block projections, not the Euclidean projection onto
+    the joint set (the surrogate's feasible cone depends on the clamped
+    noise), so it is non-expansive within each block for a fixed feasible
+    set but not jointly; its fixed points are exactly the feasible states.
 
     ``zeta`` must be a checked state (its constructors reject non-finite
     blocks), because np.clip would pull an infinite coordinate back into the
-    box. From finite blocks every value below is finite, so the result is
-    assembled without checking it again.
+    box. The clipped vector is checked once, by ``with_flat``.
 
     The eigendecomposition is skipped when a Cholesky certificate shows the
     shifted surrogate is already positive definite and the Frobenius norm
     (an upper bound on the top eigenvalue) clears the eigenvalue cap.
     """
-    theta = zeta.theta
-    s2 = float(min(max(theta.noise_variance, sigma_min * sigma_min), coord_bound))
-    w = np.clip(theta.weights, -coord_bound, coord_bound)
-    alpha = FeatureMapParams(np.clip(theta.feature_params.flat, -coord_bound, coord_bound))
+    s2 = float(min(max(zeta.theta.noise_variance, sigma_min * sigma_min), coord_bound))
+    v = np.clip(zeta.theta.flat, -coord_bound, coord_bound)
+    v[-1] = s2
 
     # kept: A may come from outside, and a step's g_A carries chol_inverse's asymmetry
     A = symmetrize(zeta.info_surrogate)
@@ -272,8 +270,7 @@ def project_primal(
     diagonal(shifted)[...] -= s2
     if try_chol_lower(shifted) is None or frobenius(A) > eig_bound:
         A = _clamp_eigs(A, s2, eig_bound)
-    theta = _unchecked(HyperParams, weights=w, feature_params=alpha, noise_variance=s2)
-    return _unchecked(AugmentedState, theta=theta, info_surrogate=A)
+    return _unchecked(AugmentedState, theta=zeta.theta.with_flat(v), info_surrogate=A)
 
 
 def _clamp_eigs(A: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from stochgp._linalg import chol_lower, chol_solve, diagonal, gram, logdet_from_chol, symmetrize
-from stochgp.features import FeatureMap, FeatureMapParams, LinearMap, MLPMap, MLPSpec, RFFMap
+from stochgp.features import FeatureMap, LinearMap, MLPMap, MLPSpec, RFFMap
 from stochgp.objective import HyperParams, _check_noise, _linearized_core
 from stochgp.optim import (
     AugmentedState,
@@ -141,7 +141,7 @@ def ridge_closed_form(Z: np.ndarray, y: np.ndarray, sigma2: float) -> np.ndarray
 
 
 def exact_nll_oracle(
-    fmap: FeatureMap, feature_params: FeatureMapParams, sigma2: float, X: np.ndarray, y: np.ndarray
+    fmap: FeatureMap, feature_params: np.ndarray, sigma2: float, X: np.ndarray, y: np.ndarray
 ) -> float:
     """Kernel-space reference value y^T (Z Z^T + s2 I)^{-1} y + logdet(Z Z^T + s2 I).
 
@@ -240,7 +240,7 @@ def rff_trig_error(arguments: np.ndarray) -> float:
     the forward formed itself, proj / u1, here with u1 = u2 = amp = 1.
     """
     fmap = RFFMap(1, 2, seed=0)
-    params = FeatureMapParams(np.zeros(2))
+    params = np.zeros(2)
     X = np.asarray(arguments, dtype=np.float64)[:, None] / fmap.frequencies[0, 0]
     batch = fmap.forward(params, X)
     a = batch.cache["proj"] / batch.cache["u1"]
@@ -300,7 +300,7 @@ def max_rel_error(value, reference, floor) -> float:
 
 
 def ridge_minimum_gap(
-    fmap: FeatureMap, feature_params: FeatureMapParams, sigma2: float, X: np.ndarray, y: np.ndarray
+    fmap: FeatureMap, feature_params: np.ndarray, sigma2: float, X: np.ndarray, y: np.ndarray
 ) -> float:
     """|full_loss at the ridge minimizer - exact_nll_oracle| / max(1, |exact_nll_oracle|)."""
     Z = fmap.forward(feature_params, X).Z
@@ -415,15 +415,15 @@ def bsgd_grad_error(
 
 
 def backward_error(
-    fmap: FeatureMap, params: FeatureMapParams, X: np.ndarray, upstream: np.ndarray
+    fmap: FeatureMap, params: np.ndarray, X: np.ndarray, upstream: np.ndarray
 ) -> float:
     """``fmap.backward`` against central differences of sum(upstream * features)."""
     analytic = fmap.backward(params, fmap.forward(params, X), upstream)
 
     def contraction(v):
-        return float(np.sum(upstream * fmap.forward(FeatureMapParams(v), X).Z))
+        return float(np.sum(upstream * fmap.forward(v, X).Z))
 
-    return max_rel_error(analytic, fd_grad(contraction, params.flat), 1e-8)
+    return max_rel_error(analytic, fd_grad(contraction, params), 1e-8)
 
 
 def enumeration_gaps(

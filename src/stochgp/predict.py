@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stochgp._linalg import chol_lower, chol_solve
-from stochgp.features import FeatureMap, FeatureMapParams
+from stochgp.features import FeatureMap
 from stochgp.objective import _feature_blocks, _ridge_system
 
 __all__ = ["Posterior", "posterior", "rmse"]
@@ -23,7 +23,7 @@ class Posterior:
 
 def posterior(
     fmap: FeatureMap,
-    feature_params: FeatureMapParams,
+    feature_params: np.ndarray,
     sigma2: float,
     X_train: np.ndarray,
     y_train: np.ndarray,

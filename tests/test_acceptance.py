@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from instances import feasible_surrogate, instance
-from stochgp.features import FeatureMapParams, LinearMap, MLPMap, MLPSpec, RFFMap
+from stochgp.features import LinearMap, MLPMap, MLPSpec, RFFMap
 from stochgp.harness import ExperimentConfig, SynthSpec, grid_edge, grid_search
 from stochgp.objective import HyperParams
 from stochgp.optim import (
@@ -212,7 +212,7 @@ def test_06_projection_and_feasibility_suite():
     rng = np.random.default_rng(77)
     params = MLPMap(MLPSpec(2, (3, 4))).init_params(0)
     d = 4
-    n_flat = params.flat.size
+    n_flat = params.size
     sig_min, coord, eig = 3e-2, 10.0, 25.0
 
     def random_state():
@@ -222,7 +222,7 @@ def test_06_projection_and_feasibility_suite():
         s2 = float(10.0 ** rng.uniform(-5.0, 1.8))
         G = rng.normal(size=(d, d)) * float(rng.choice([0.3, 8.0]))
         A = G + G.T + float(rng.choice([-2.0, 0.0, 6.0])) * np.eye(d)
-        return AugmentedState(HyperParams(w, FeatureMapParams(flat), s2), A)
+        return AugmentedState(HyperParams(w, flat, s2), A)
 
     gaps = np.max([projection_gaps(random_state(), sig_min, coord, eig) for _ in range(1000)], axis=0)
     assert gaps[0] == 0.0 and gaps[1] <= 1e-8, gaps  # bounds and symmetry exact, spectrum
@@ -239,11 +239,11 @@ def test_06_projection_and_feasibility_suite():
         ) + 1e-15
         din = math.hypot(
             float(np.linalg.norm(z1.theta.weights - z2.theta.weights)),
-            float(np.linalg.norm(z1.theta.feature_params.flat - z2.theta.feature_params.flat)),
+            float(np.linalg.norm(z1.theta.feature_params - z2.theta.feature_params)),
         )
         dout = math.hypot(
             float(np.linalg.norm(p1.theta.weights - p2.theta.weights)),
-            float(np.linalg.norm(p1.theta.feature_params.flat - p2.theta.feature_params.flat)),
+            float(np.linalg.norm(p1.theta.feature_params - p2.theta.feature_params)),
         )
         assert dout <= din * (1.0 + 1e-12) + 1e-15
 

@@ -259,6 +259,7 @@ class TestRunCommand:
                 ["--synth", SYNTH, "--grid", "1e-3,1e-2", "--name", "../escape"],
                 "must not contain a path separator",
             ),
+            (["--synth", SYNTH, "--grid", "1e-3,1e-3,3e-3"], "grid names 0.001 more than once"),
         ],
     )
     def test_invalid_config_is_a_usage_error(self, tmp_path, capsys, argv, message):

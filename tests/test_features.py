@@ -20,7 +20,6 @@ from stochgp.features import (
     ComposedMap,
     FeatureBatch,
     FeatureMap,
-    FeatureMapParams,
     LinearMap,
     MLPMap,
     MLPSpec,
@@ -39,24 +38,23 @@ class ScaleMap(FeatureMap):
         self.output_dim = dim
 
     def init_params(self, seed):
-        return FeatureMapParams(np.array([1.0]))
+        return np.array([1.0])
 
     def forward(self, params, X):
         X = self._check_input(X)
-        return FeatureBatch(params.flat[0] * X, {"X": X}, params)
+        return FeatureBatch(params[0] * X, {"X": X}, params)
 
     def backward_with_inputs(self, params, batch, upstream):
         U = np.asarray(upstream, dtype=np.float64)
         X = batch.cache["X"]
-        return np.array([np.sum(U * X)]), params.flat[0] * U
+        return np.array([np.sum(U * X)]), params[0] * U
 
 
 def upstream_scalar(fmap, X, U):
     """f(flat) = sum_i <U_i, phi(x_i)> as a plain function of the flat vector."""
 
     def f(flat):
-        params = FeatureMapParams(flat)
-        return float(np.sum(U * fmap.forward(params, X).Z))
+        return float(np.sum(U * fmap.forward(flat, X).Z))
 
     return f
 
@@ -84,7 +82,7 @@ class TestParamsLayout:
             (ComposedMap(rff, mlp), 4 * 3 + 4 + 5 * 4 + 5 + 2),
         ):
             assert fmap.n_params == expected
-            assert fmap.init_params(0).flat.shape == (expected,)
+            assert fmap.init_params(0).shape == (expected,)
 
     @settings(max_examples=60)
     @given(
@@ -109,7 +107,7 @@ class TestParamsLayout:
                 fmap = ComposedMap(RFFMap(d, 2 * pairs, seed), fmap)
         X = rng.normal(size=(n, p))
         flat = 0.5 * rng.normal(size=fmap.n_params)
-        batch = fmap.forward(FeatureMapParams(flat), X)
+        batch = fmap.forward(flat, X)
         if kind == "linear":
             assert np.array_equal(batch.Z, X)
         elif kind == "mlp":
@@ -134,7 +132,27 @@ class TestParamsLayout:
         wrong = np.zeros(fmap.n_params + off)
         message = "has %d entries, map expects %d" % (wrong.shape[0], fmap.n_params)
         with pytest.raises(ValueError, match=message):
-            fmap.forward(FeatureMapParams(wrong), X)
+            fmap.forward(wrong, X)
+
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp", "rff", "mlp+rff"])
+    def test_flat_coerces_once_and_rejects_a_non_vector(self, kind):
+        fmap = LinearMap(3) if kind == "linear" else _stale_cache_map(kind)
+        params = fmap.init_params(0)
+        X = np.random.default_rng(18).normal(size=(2, 3))
+        # a float64 vector is its own checked form, so its batch ties to it
+        assert fmap._flat(params) is params
+        assert fmap.forward(params, X).params is params
+        # anything else is coerced to a float64 vector first
+        as_list = fmap.forward(params.tolist(), X)
+        assert as_list.params.dtype == np.float64 and as_list.params.shape == params.shape
+        assert np.array_equal(as_list.Z, fmap.forward(params, X).Z)
+        fmap.backward(as_list.params, as_list, np.ones((2, fmap.output_dim)))
+        ints = fmap._flat(np.zeros(fmap.n_params, dtype=np.int64))
+        assert ints.dtype == np.float64 and np.array_equal(ints, np.zeros(fmap.n_params))
+        for bad in (params[None, :], np.float64(1.0)):
+            with pytest.raises(ValueError, match="flat parameter vector must be 1-d"):
+                fmap.forward(bad, X)
 
 
 class TestLinearMap:
@@ -159,7 +177,7 @@ class TestScaleMap:
     def test_hand_derivative(self):
         # phi(x) = a x, upstream u: d/da sum(u * a * x) = sum(u * x)
         fmap = ScaleMap(2)
-        params = FeatureMapParams(np.array([1.7]))
+        params = np.array([1.7])
         X = np.array([[2.0, -1.0]])
         U = np.array([[3.0, 5.0]])
         batch = fmap.forward(params, X)
@@ -170,7 +188,7 @@ class TestScaleMap:
 class TestMLP:
     def test_zero_network_maps_to_zero(self):
         fmap = MLPMap(MLPSpec(3, (4, 2)))
-        params = FeatureMapParams(np.zeros(fmap.n_params))
+        params = np.zeros(fmap.n_params)
         X = np.random.default_rng(1).normal(size=(5, 3))
         np.testing.assert_array_equal(fmap.forward(params, X).Z, np.zeros((5, 2)))
 
@@ -180,7 +198,7 @@ class TestMLP:
         x = np.random.default_rng(2).normal(size=3)
         z = fmap.forward(params, x[None, :]).Z[0]
         # scalar recomputation from the documented offsets, no matrix ops
-        flat = params.flat
+        flat = params
         w1, b1 = flat[:12].reshape(4, 3), flat[12:16]
         w2, b2 = flat[16:24].reshape(2, 4), flat[24:]
         hidden = [max(sum(w1[j, k] * x[k] for k in range(3)) + b1[j], 0.0) for j in range(4)]
@@ -205,14 +223,14 @@ class TestMLP:
 
     def test_init_is_seeded(self):
         fmap = MLPMap(MLPSpec(3, (4, 2)))
-        assert np.array_equal(fmap.init_params(9).flat, fmap.init_params(9).flat)
-        assert not np.array_equal(fmap.init_params(9).flat, fmap.init_params(10).flat)
+        assert np.array_equal(fmap.init_params(9), fmap.init_params(9))
+        assert not np.array_equal(fmap.init_params(9), fmap.init_params(10))
 
     def test_stale_cache_rejected(self):
         fmap = MLPMap(MLPSpec(2, (3, 2)))
         params = fmap.init_params(0)
         batch = fmap.forward(params, np.zeros((1, 2)))
-        newer = FeatureMapParams(params.flat * 2.0)
+        newer = params * 2.0
         with pytest.raises(ValueError, match="stale feature cache"):
             fmap.backward(newer, batch, np.zeros((1, 2)))
 
@@ -244,7 +262,7 @@ class TestRFF:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=name):
-                fmap.forward(FeatureMapParams(flat), np.ones((3, 2)))
+                fmap.forward(flat, np.ones((3, 2)))
 
     def test_deterministic_draw(self):
         a = RFFMap(3, 16, seed=4)
@@ -260,7 +278,7 @@ class TestRFF:
         fmap = RFFMap(2, 32, 0, init_u1=1.3)
         X = np.random.default_rng(5).normal(size=(4, 2))
         base = fmap.forward(fmap.init_params(0), X).Z
-        doubled_params = FeatureMapParams(np.array([np.log(1.3), np.log(2.0)]))
+        doubled_params = np.array([np.log(1.3), np.log(2.0)])
         doubled = fmap.forward(doubled_params, X).Z
         np.testing.assert_allclose(doubled, np.sqrt(2.0) * base, rtol=1e-12)
         np.testing.assert_allclose(
@@ -402,7 +420,7 @@ class TestRFF:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, q))
         U = rng.normal(size=(n, 2 * half))
-        params = FeatureMapParams(np.array([log_u1, log_u2]))
+        params = np.array([log_u1, log_u2])
         batch = fmap.forward(params, X)
         u1 = float(np.exp(log_u1))
         amp = np.sqrt(2.0 * float(np.exp(log_u2)) / (2 * half))
@@ -459,7 +477,7 @@ class TestRFF:
         # batch give the bits a forward over all rows gives
         fmap = RFFMap(q, 2 * half, seed % 1000)
         rng = np.random.default_rng(seed)
-        params = FeatureMapParams(rng.normal(size=2) * 0.5)
+        params = rng.normal(size=2) * 0.5
         base = rng.normal(size=(2 * n, 3 * q)) * 3.0
         X = np.ascontiguousarray(base[::2, 1::3])
         Z = fmap.forward(params, X).Z
@@ -488,12 +506,8 @@ class TestCompose:
         fmap = ComposedMap(outer, inner)
         params = fmap.init_params(seed=12)
         X = np.random.default_rng(10).normal(size=(5, 3))
-        staged_inner = inner.forward(
-            FeatureMapParams(params.flat[: inner.n_params]), X
-        )
-        staged = outer.forward(
-            FeatureMapParams(params.flat[inner.n_params :]), staged_inner.Z
-        )
+        staged_inner = inner.forward(params[: inner.n_params], X)
+        staged = outer.forward(params[inner.n_params :], staged_inner.Z)
         np.testing.assert_allclose(fmap.forward(params, X).Z, staged.Z, rtol=1e-12)
 
     def test_composed_backward_matches_finite_differences(self):
@@ -509,10 +523,8 @@ class TestCompose:
         outer = RFFMap(2, 8, 0)
         fmap = ComposedMap(outer, inner)
         params = fmap.init_params(seed=1)
-        assert params.flat.shape == (inner.n_params + 2,)
-        np.testing.assert_array_equal(
-            params.flat[inner.n_params :], outer.init_params(2).flat
-        )
+        assert params.shape == (inner.n_params + 2,)
+        np.testing.assert_array_equal(params[inner.n_params :], outer.init_params(2))
 
 
 def _stale_cache_map(kind):
@@ -537,7 +549,7 @@ class TestStaleCache:
             # both objects are fresh from init_params; for rff they are equal
             foreign = fmap.init_params(1)
         else:
-            foreign = FeatureMapParams(params.flat.copy())
+            foreign = params.copy()
         rng = np.random.default_rng(15)
         X = rng.normal(size=(5, 3))
         U = rng.normal(size=(5, fmap.output_dim))
@@ -548,24 +560,22 @@ class TestStaleCache:
         fmap.backward(params, batch, U)
         fmap.backward(foreign, fmap.forward(foreign, X), U)
 
-    def test_composed_backward_builds_no_params(self, monkeypatch):
+    def test_composed_backward_builds_no_params(self):
         fmap = _stale_cache_map("mlp+rff")
         params = fmap.init_params(0)
         X = np.random.default_rng(16).normal(size=(4, 3))
         batch = fmap.forward(params, X)
-        built = []
-        post_init = FeatureMapParams.__post_init__
-
-        def counting(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(FeatureMapParams, "__post_init__", counting)
-        fmap.backward_with_inputs(params, batch, np.ones((4, fmap.output_dim)))
-        assert built == []
-        # the sub-batches hold the sub-parameters the forward computed them from
-        assert np.array_equal(batch.cache["inner"].params.flat, params.flat[: fmap.inner.n_params])
-        assert np.array_equal(batch.cache["outer"].params.flat, params.flat[fmap.inner.n_params :])
+        # the sub-batches hold views of the passed vector, the sub-parameters
+        # the forward computed them from, and the backward hands them back
+        k = fmap.inner.n_params
+        inner, outer = batch.cache["inner"].params, batch.cache["outer"].params
+        assert batch.params is params
+        assert inner.base is params and outer.base is params
+        assert np.shares_memory(inner, params[:k]) and np.shares_memory(outer, params[k:])
+        assert np.array_equal(inner, params[:k])
+        assert np.array_equal(outer, params[k:])
+        g, _ = fmap.backward_with_inputs(params, batch, np.ones((4, fmap.output_dim)))
+        assert g.shape == (fmap.n_params,)
 
 
 class TestBackwardProperty:
@@ -593,7 +603,7 @@ class TestBackwardProperty:
             w1 = flat[: hidden * p].reshape(hidden, p)
             b1 = flat[hidden * p : hidden * p + hidden]
             assume(np.min(np.abs(X @ w1.T + b1)) > 1e-3)
-        params = FeatureMapParams(flat)
+        params = flat
         grad, g_inputs = fmap.backward_with_inputs(params, fmap.forward(params, X), U)
 
         def of_inputs(x):

@@ -16,7 +16,7 @@ import stochgp.objective
 from instances import covariance_draw_csv
 from stochgp._linalg import spd_inverse
 from stochgp.data import load_csv, split, standardize
-from stochgp.features import ComposedMap, FeatureMapParams, LinearMap, MLPMap, MLPSpec, RFFMap
+from stochgp.features import ComposedMap, LinearMap, MLPMap, MLPSpec, RFFMap
 from stochgp.harness import (
     DEFAULT_GRID,
     ExperimentConfig,
@@ -124,7 +124,7 @@ class TestGenSynthetic:
         spec = SynthSpec(n=n, p=p, d=d, sigma2=sigma2, map_kind=kind, seed=seed, mlp_hidden=hidden)
         data, truth = gen_synthetic(spec, draw_seed)
         fmap = MLPMap(MLPSpec(p, (hidden, d))) if mlp else LinearMap(p)
-        params = FeatureMapParams(np.asarray(truth["feature_flat"]))
+        params = np.asarray(truth["feature_flat"])
         Z = fmap.forward(params, data.features).Z
         if draw_seed is None:
             stream = np.random.default_rng(seed)
@@ -156,6 +156,14 @@ class TestExperimentConfig:
             ExperimentConfig(
                 synth=SynthSpec(n=4, p=2, d=2, sigma2=1.0), grid=()
             )
+
+    def test_rejects_a_repeated_grid_rate(self):
+        spec = SynthSpec(n=4, p=2, d=2, sigma2=1.0)
+        # 1e-3 and 0.001 are one float: a grid naming it twice would train it twice
+        for grid in ((1e-3, 1e-3, 3e-3), (3e-3, 1e-3, 0.001)):
+            with pytest.raises(ValueError, match="grid names 0.001 more than once"):
+                ExperimentConfig(synth=spec, grid=grid)
+        assert ExperimentConfig(synth=spec, grid=(3e-3, 1e-3)).grid == (3e-3, 1e-3)
 
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ValueError, match="optimizer"):
@@ -623,7 +631,7 @@ class TestRunExperiment:
         X, y, n = train.features, train.targets, train.n
         assert n > 2000
         fmap = build_feature_map(cfg, X.shape[1])
-        params = FeatureMapParams(np.asarray(rec.best_feature_flat))
+        params = np.asarray(rec.best_feature_flat)
         s2 = rec.best_noise_variance
         raw = exact_nll_oracle(fmap, params, s2, X, y)
         assert rec.best_nll == pytest.approx((raw + n * math.log(2 * math.pi)) / (2 * n), rel=1e-10)

@@ -422,6 +422,24 @@ def test_the_benchmarks_own_forward_reads_the_layout_the_maps_slice():
         assert np.all(np.abs(ours - theirs) <= np.hstack([bound, bound])), name
 
 
+def test_the_benchmarks_start_is_the_maps_initial_vector(tmp_path):
+    # check.start_nll reads init_params(seed).flat: on a plain vector that is
+    # numpy's flat iterator, whose slices and indices give the vector's floats
+    check, workloads = _benchmark("check"), _benchmark("workloads")
+    rng = np.random.default_rng(1)
+    header = ",".join(["c%d" % j for j in range(workloads.INPUTS)] + ["y"])
+    csv_path = tmp_path / "small.csv"
+    rows = rng.normal(size=(48, workloads.INPUTS + 1))
+    np.savetxt(csv_path, rows, delimiter=",", header=header, comments="")
+    for name, workload in workloads.WORKLOADS.items():
+        cfg = workload.config(str(csv_path), "minimax")
+        problem = check.Problem(str(csv_path), cfg.train_fraction, cfg.split_seed)
+        phi = check.FeatureMap(cfg)
+        start = np.asarray(build_feature_map(cfg, workloads.INPUTS).init_params(cfg.init_seed))
+        want = check.kernel_form(phi(start, problem.X), problem.y, cfg.init_sigma2)[0]
+        assert check.start_nll(cfg, problem, phi) == want, name
+
+
 @pytest.mark.parametrize("rule", ["minimax", "scgd", "bsgd"])
 def test_the_sweeps_stepper_takes_two_steps(rule):
     # benchmarks/sweep.py builds each step rule's start and step itself

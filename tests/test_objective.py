@@ -3,11 +3,11 @@
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from instances import instance
 from stochgp._linalg import NotPositiveDefiniteError
-from stochgp.features import FeatureMapParams, LinearMap, MLPMap, MLPSpec
+from stochgp.features import LinearMap, MLPMap, MLPSpec
 from stochgp.objective import HyperParams, info_matrix
 from stochgp.oracles import (
     decomposition_gap,
@@ -40,7 +40,7 @@ def zero_feature_instance(n=6, p=2, d=3, sigma2=0.7, seed=0):
     # all-zero network weights force phi(x) = 0 for every x
     rng = np.random.default_rng(seed)
     fmap = MLPMap(MLPSpec(p, (4, d)))
-    params = FeatureMapParams(np.zeros(fmap.n_params))
+    params = np.zeros(fmap.n_params)
     theta = HyperParams(np.zeros(d), params, sigma2)
     return fmap, theta, rng.normal(size=(n, p)), rng.normal(size=n)
 
@@ -55,10 +55,10 @@ class TestHyperParams:
         for kind in ("mlp", "mlp+rff"):
             _, theta, _, _ = instance(0, 1, kind)
             for bad in (np.inf, np.nan):
-                f = theta.feature_params.flat.copy()
+                f = theta.feature_params.copy()
                 f[1] = bad
                 with pytest.raises(ValueError, match="feature parameters contain non-finite"):
-                    HyperParams(theta.weights, FeatureMapParams(f), 1.0)
+                    HyperParams(theta.weights, f, 1.0)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp", "mlp+rff"])
     @pytest.mark.parametrize("off", [-1, 1])
@@ -77,18 +77,67 @@ class TestHyperParams:
         with pytest.raises(ValueError, match="1-d"):
             HyperParams(np.zeros((2, 2)), LinearMap(2).init_params(0), 1.0)
 
+    @pytest.mark.parametrize("kind", ["linear", "mlp", "mlp+rff"])
+    def test_flat_is_the_storage(self, kind):
+        # theta is stored once, as flat; weights and feature_params are views
+        fmap, theta, X, _ = instance(4, 3, kind)
+        assert theta.flat is theta.flat
+        assert theta.weights.base is theta.flat and theta.feature_params.base is theta.flat
+        assert np.shares_memory(theta.weights, theta.flat)
+        assert fmap.n_params == 0 or np.shares_memory(theta.feature_params, theta.flat)
+        assert theta.feature_params is theta.feature_params
+        batch = fmap.forward(theta.feature_params, X)
+        fmap.backward(theta.feature_params, batch, np.ones_like(batch.Z))
+        # the point cannot be moved in place, through flat or its views
+        for view in (theta.flat, theta.weights, theta.feature_params):
+            with pytest.raises(ValueError, match="read-only"):
+                view[...] = 0.0
+        # with_flat wraps a copy: its round trip is bit for bit, and a later
+        # write to the vector it was given leaves the point where it was
+        v = theta.flat.copy()
+        back = theta.with_flat(v)
+        assert back.flat.tobytes() == theta.flat.tobytes()
+        assert back.noise_variance == theta.noise_variance and type(back.noise_variance) is float
+        v[:] = 7.0
+        assert back.flat.tobytes() == theta.flat.tobytes()
+        assert theta.with_flat(theta.flat).flat.tobytes() == theta.flat.tobytes()
+
+    @settings(max_examples=80)
+    @given(
+        d=st.integers(1, 6),
+        k=st.integers(0, 6),
+        block=st.sampled_from(["weights", "feature parameters", "noise_variance"]),
+        bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_non_finite_entry_names_its_block(self, d, k, block, bad, seed):
+        start, stop, message = {
+            "weights": (0, d, "weights contain non-finite entries"),
+            "feature parameters": (d, d + k, "feature parameters contain non-finite entries"),
+            "noise_variance": (d + k, d + k + 1, "noise_variance is not finite"),
+        }[block]
+        assume(stop > start)
+        rng = np.random.default_rng(seed)
+        theta = HyperParams(rng.normal(size=d), rng.normal(size=k), float(rng.uniform(0.1, 2.0)))
+        v = theta.flat.copy()
+        v[rng.integers(start, stop)] = bad
+        with pytest.raises(ValueError, match=message):
+            theta.with_flat(v)
+        with pytest.raises(ValueError, match=message):
+            HyperParams(v[:d], v[d:-1], v[-1])
+
     def test_grad_helpers(self):
         # flat lays theta out as weights, feature-map parameters, noise variance
         _, theta, _, _ = instance(3, 1, "mlp")
         v = theta.flat
-        d, k = theta.d, theta.feature_params.flat.size
+        d, k = theta.d, theta.feature_params.size
         assert v.shape == (d + k + 1,)
         np.testing.assert_array_equal(v[:d], theta.weights)
-        np.testing.assert_array_equal(v[d:-1], theta.feature_params.flat)
+        np.testing.assert_array_equal(v[d:-1], theta.feature_params)
         assert v[-1] == theta.noise_variance
         back = theta.with_flat(v)
         np.testing.assert_array_equal(back.flat, v)
-        np.testing.assert_array_equal(back.feature_params.flat, theta.feature_params.flat)
+        np.testing.assert_array_equal(back.feature_params, theta.feature_params)
         # a gradient is a plain vector in that layout: scaling and norms are numpy's
         g = np.zeros_like(v)
         g[:2] = [3.0, 4.0]

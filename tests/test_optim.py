@@ -13,7 +13,7 @@ import stochgp.objective
 import stochgp.optim
 from instances import feasible_surrogate, instance
 from stochgp._linalg import NotPositiveDefiniteError, diagonal, gram, symmetrize
-from stochgp.features import FeatureMapParams, LinearMap, MLPMap, MLPSpec
+from stochgp.features import LinearMap, MLPMap, MLPSpec
 from stochgp.harness import _Evaluator
 from stochgp.objective import HyperParams, _row_blocks, info_matrix
 from stochgp.optim import (
@@ -226,12 +226,12 @@ class TestProjectPrimal:
 
     def test_coordinate_bound(self):
         fmap = MLPMap(MLPSpec(2, (3, 2)))
-        params = FeatureMapParams(np.full(fmap.n_params, 50.0))
+        params = np.full(fmap.n_params, 50.0)
         theta = HyperParams(np.array([-70.0, 3.0]), params, 2.0)
         zeta = AugmentedState(theta, 5.0 * np.eye(2))
         out = project_primal(zeta, sigma_min=1e-3, coord_bound=10.0)
         np.testing.assert_array_equal(out.theta.weights, [-10.0, 3.0])
-        assert np.all(out.theta.feature_params.flat == 10.0)
+        assert np.all(out.theta.feature_params == 10.0)
 
     def test_eigenvalue_cap(self):
         theta = HyperParams(np.zeros(2), LinearMap(2).init_params(0), 0.5)
@@ -265,20 +265,20 @@ class TestProjectPrimal:
         params = MLPMap(MLPSpec(2, (2, 2))).init_params(0)
 
         def project(w, flat, s2, coord_bound=1e6):
-            theta = HyperParams(w, FeatureMapParams(flat), s2)
+            theta = HyperParams(w, flat, s2)
             return project_primal(AugmentedState(theta, np.eye(2)), 0.05, coord_bound).theta
 
         for _ in range(25):
             s_a, s_b = rng.uniform(-1, 4, size=2)
             w = rng.normal(size=2)
-            ca, cb = (project(w, params.flat, s).noise_variance for s in (s_a, s_b))
+            ca, cb = (project(w, params, s).noise_variance for s in (s_a, s_b))
             assert abs(ca - cb) <= abs(s_a - s_b) + 1e-15
 
-            u, v = rng.normal(size=(2, 2 + params.flat.size)) * 12
+            u, v = rng.normal(size=(2, 2 + params.size)) * 12
             s = rng.uniform(0.1, 1.0)
             pa, pb = project(u[:2], u[2:], s, 8.0), project(v[:2], v[2:], s, 8.0)
             moved = np.concatenate(
-                [pa.weights - pb.weights, pa.feature_params.flat - pb.feature_params.flat]
+                [pa.weights - pb.weights, pa.feature_params - pb.feature_params]
             )
             assert np.linalg.norm(moved) <= np.linalg.norm(u - v) + 1e-12
             # the box is a product of intervals, so each coordinate is too
@@ -320,7 +320,7 @@ class TestProjectPrimal:
         # stay above sigma_min^2, so the feasible set is never empty
         rng = np.random.default_rng(seed)
         fmap = MLPMap(MLPSpec(2, (3, d)))
-        params = FeatureMapParams(rng.normal(size=fmap.n_params) * 10 ** rng.uniform(0, 3))
+        params = rng.normal(size=fmap.n_params) * 10 ** rng.uniform(0, 3)
         theta = HyperParams(
             rng.normal(size=d) * 10 ** rng.uniform(0, 3), params, noise_frac * sigma_min**2
         )
@@ -434,17 +434,13 @@ class TestMinimaxStep:
         a, d = cfg.primal_rate, theta.d
         v = theta.flat - a * g_theta
         raw = AugmentedState(
-            HyperParams(
-                v[:d],
-                FeatureMapParams(v[d:-1]),
-                max(v[-1], cfg.sigma_min**2),
-            ),
+            HyperParams(v[:d], v[d:-1], max(v[-1], cfg.sigma_min**2)),
             zeta.info_surrogate - a * g_A,
         )
         want = project_primal(raw, cfg.sigma_min, cfg.coord_bound, cfg.eig_bound)
         got, _ = minimax_step(fmap, zeta, dual, X, y, idx, [1, 2], cfg)
         assert np.array_equal(got.theta.weights, want.theta.weights)
-        assert np.array_equal(got.theta.feature_params.flat, want.theta.feature_params.flat)
+        assert np.array_equal(got.theta.feature_params, want.theta.feature_params)
         assert type(got.theta.noise_variance) is float
         assert got.theta.noise_variance == want.theta.noise_variance
         assert np.array_equal(got.info_surrogate, want.info_surrogate)
@@ -490,7 +486,7 @@ class TestMinimaxStep:
         za, Ba = run()
         zb, Bb = run()
         assert np.array_equal(za.theta.weights, zb.theta.weights)
-        assert np.array_equal(za.theta.feature_params.flat, zb.theta.feature_params.flat)
+        assert np.array_equal(za.theta.feature_params, zb.theta.feature_params)
         assert za.theta.noise_variance == zb.theta.noise_variance
         assert np.array_equal(za.info_surrogate, zb.info_surrogate)
         assert np.array_equal(Ba, Bb)
