@@ -363,8 +363,9 @@ class _Evaluator:
 
         One pass over the row blocks accumulates F and Z^T y; a second
         computes the ridge residual and sums the probe's gradient over the
-        blocks. When the rows make one block, the second pass reuses the
-        first one's features instead of computing them again.
+        blocks, each block's taken at the one M + M^T formed for the pass.
+        When the rows make one block, the second pass reuses the first one's
+        features instead of computing them again.
         """
         X, y, fmap = self.X, self.y, self.fmap
         n, d = X.shape[0], fmap.output_dim
@@ -374,8 +375,7 @@ class _Evaluator:
         w = chol_solve(L, Zty)
         logdet = logdet_from_chol(L)
         M = chol_inverse(L)  # overwrites L
-        # M + M^T, not 2 M: chol_inverse's gemm is not always exactly symmetric
-        M_sym, trace_M = M + M.T, float(np.trace(M))
+        S = M + M.T  # formed once for every block
         if batch is None:
             blocks = _feature_blocks(fmap, theta.feature_params, X)
         else:
@@ -384,7 +384,7 @@ class _Evaluator:
         for rows, fb in blocks:
             r = fb.Z @ w - y[rows]
             rr += float(r @ r)
-            g = g + _linearized_core(fmap, theta, fb, y[rows], fb.Z @ M_sym, trace_M, n)
+            g = g + _linearized_core(fmap, theta, fb, y[rows], S, n)
         raw = rr / s2 + float(w @ w) + logdet + (n - d) * math.log(s2)
         return (raw + n * math.log(2 * math.pi)) / (2 * n), frobenius(g), w
 
@@ -547,8 +547,7 @@ def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
         if best is None or nll < best[0]:
             best = (nll, epoch, theta, w)
 
-    if record.diverged or best is None:
-        record.best_nll = math.inf
+    if record.diverged:
         return record
 
     record.best_nll, record.best_epoch, best_theta, best_w = best

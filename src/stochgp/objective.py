@@ -35,7 +35,7 @@ __all__ = ["BLOCK_FLOATS", "HyperParams", "info_matrix"]
 BLOCK_FLOATS = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperParams:
     """The full parameter point: ridge weights, feature-map params, noise variance.
 
@@ -45,13 +45,14 @@ class HyperParams:
     a feature batch ties to ``feature_params`` by identity. Positivity of
     ``noise_variance`` is a precondition of the loss terms, not of
     construction, so that raw gradient steps can be represented before a
-    projection restores feasibility. All entries must be finite.
+    projection restores feasibility. All entries must be finite. Points
+    compare and hash by identity: two arrays have no one truth value.
     """
 
     weights: np.ndarray
     feature_params: np.ndarray
     noise_variance: float
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -161,19 +162,18 @@ def _linearized_core(
     theta: HyperParams,
     batch: FeatureBatch,
     y_batch: np.ndarray,
-    ZM: np.ndarray,
-    trace_M: float,
+    S: np.ndarray,
     n_total: int,
 ) -> np.ndarray:
     """Gradient over theta of the batch loss linearized at M, given the batch's features.
 
     That loss is sum_{i in batch} [loss_term_i + <M, info_term_i>]; the step
     rules, the evaluator and ``oracles.grad_theta_of_linearized`` share this
-    body. M enters only through ZM = Z (M + M^T), the s x d coupling term of the
-    feature upstream, and its trace, the noise-variance term. Callers form
-    them however suits their M: the step rules and the evaluator multiply by
-    an explicit M, ``scgd_step`` applies the tracker's inverse through its
-    Cholesky factor without ever forming it. The gradient is laid out as
+    body. M enters through S = M + M^T: Z S is the s x d coupling term of the
+    feature upstream, and tr M = tr S / 2 the noise-variance term (exact,
+    since doubling is). Callers pass M + M^T, not 2 M: an inverse from
+    ``chol_inverse``'s gemm, or a dual from outside, need not be exactly
+    symmetric, and the sum always is. The gradient is laid out as
     ``HyperParams.flat``.
     """
     s2 = _check_noise(theta.noise_variance)
@@ -186,11 +186,11 @@ def _linearized_core(
     r = Z @ w - y_batch
 
     g_w = (2.0 / s2) * (Z.T @ r) + (2.0 * s / n) * w
-    upstream = (2.0 / s2) * r[:, None] * w[None, :] + ZM
+    upstream = (2.0 / s2) * r[:, None] * w[None, :] + Z @ S
     g_alpha = fmap.backward(theta.feature_params, batch, upstream)
     g_s2 = (
         -float(r @ r) / (s2 * s2)
         + s * (n - d) / (n * s2)
-        + s * trace_M / n
+        + s * (0.5 * float(np.trace(S))) / n
     )
     return np.concatenate((g_w, g_alpha, (g_s2,)))

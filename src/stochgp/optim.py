@@ -39,14 +39,11 @@ import numpy as np
 
 from stochgp._linalg import (
     NotPositiveDefiniteError,
-    chol_lower,
-    chol_solve,
     diagonal,
     frobenius,
     gram,
     spd_inverse,
     symmetrize,
-    tri_inverse_lower,
     try_chol_lower,
 )
 from stochgp.features import FeatureMap
@@ -77,7 +74,7 @@ def _square_f64(A: np.ndarray, d: int, name: str) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedState:
     """Primal state of the penalty method: parameters plus the surrogate matrix."""
 
@@ -89,7 +86,7 @@ class AugmentedState:
         object.__setattr__(self, "info_surrogate", A)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SCGDState:
     """Compositional-method state: parameters, tracked information matrix, step count."""
 
@@ -197,10 +194,7 @@ def _primal_grads(
 
     batch = fmap.forward(theta.feature_params, X_batch)
     M = (-penalty / norm) * B
-    # M + M^T, not 2 M: a dual passed in from outside may be asymmetric
-    g_theta = (n / s) * _linearized_core(
-        fmap, theta, batch, y_batch, batch.Z @ (M + M.T), float(np.trace(M)), n
-    )
+    g_theta = (n / s) * _linearized_core(fmap, theta, batch, y_batch, M + M.T, n)
 
     info_sum = gram(batch.Z, s * theta.noise_variance / n)
 
@@ -372,11 +366,12 @@ def scgd_step(
 ) -> SCGDState:
     """One compositional update.
 
-    Parameters move against the gradient of the batch loss linearized at the
-    tracked information matrix, through its one Cholesky factor (no inverse,
-    no repair); the tracker then takes a convex step toward the rescaled batch
-    information sum at the pre-step parameters, which keeps it positive
-    definite in exact arithmetic. A failed factorization names the iteration.
+    Parameters move against the gradient of the batch loss linearized at
+    M = the tracked information matrix's inverse, formed from one Cholesky
+    factor as ``bsgd_step`` forms its own (no repair); the tracker then takes
+    a convex step toward the rescaled batch information sum at the pre-step
+    parameters, which keeps it positive definite in exact arithmetic. A
+    failed factorization names the iteration.
     """
     if not 0.0 < b_t <= 1.0:
         raise ValueError("averaging weight must lie in (0, 1]")
@@ -385,18 +380,13 @@ def scgd_step(
     n = len(X)
     theta = state.theta
 
-    L = chol_lower(state.tracked_info, "tracked information matrix at iteration %d" % state.step)
+    M = spd_inverse(state.tracked_info, "tracked information matrix at iteration %d" % state.step)
 
     fb = fmap.forward(theta.feature_params, _rows(X, batch))
-    Z = fb.Z
-    # row i of Z (M + M^T) is 2 (tracker^{-1} phi_i)^T for M = tracker^{-1}
-    ZM = 2.0 * chol_solve(L, Z.T).T
-    # row-major: np.sum below adds in memory order, and records depend on it
-    Li = np.ascontiguousarray(tri_inverse_lower(L))
-    g = _linearized_core(fmap, theta, fb, _rows(y, batch), ZM, float(np.sum(Li * Li)), n)
+    g = _linearized_core(fmap, theta, fb, _rows(y, batch), M + M.T, n)
     theta_next = _descend(theta, g, a_t, sigma_min)
 
-    tracked = (1.0 - b_t) * state.tracked_info + b_t * _batch_info(Z, n, theta.noise_variance)
+    tracked = (1.0 - b_t) * state.tracked_info + b_t * _batch_info(fb.Z, n, theta.noise_variance)
     return SCGDState(theta_next, tracked, state.step + 1)
 
 
@@ -433,8 +423,5 @@ def bsgd_step(
             % (exc, float(np.max(np.abs(fb.Z))), shift),
         )
         raise
-    # M + M^T, not 2 M: chol_inverse's gemm is not always exactly symmetric
-    g = _linearized_core(
-        fmap, theta, fb, _rows(y, batch), fb.Z @ (M + M.T), float(np.trace(M)), n
-    )
+    g = _linearized_core(fmap, theta, fb, _rows(y, batch), M + M.T, n)
     return _descend(theta, g, a_t, sigma_min)

@@ -179,10 +179,9 @@ def grad_theta_of_linearized(
     """Gradient over theta of sum_{i in batch} [loss_term_i + <M, info_term_i>].
 
     M is held fixed (it plays the role of an inverse information-matrix
-    estimate). The feature-direction upstream for sample i is
-    (2/s2) r_i w + (M + M^T) phi_i, routed through the map's backward pass;
-    (M + M^T) phi reduces to 2 M phi for the symmetric M used in practice but
-    keeps finite-difference checks honest for arbitrary M.
+    estimate) and may be any d x d matrix: the feature-direction upstream for
+    sample i is (2/s2) r_i w + (M + M^T) phi_i, routed through the map's
+    backward pass, so finite-difference checks stay honest for an asymmetric M.
     """
     M = np.asarray(M, dtype=np.float64)
     d = fmap.output_dim
@@ -190,9 +189,7 @@ def grad_theta_of_linearized(
         raise ValueError("M must be %d x %d, got %s" % (d, d, M.shape))
     X_batch = np.asarray(X_batch, dtype=np.float64)
     batch = fmap.forward(theta.feature_params, X_batch)
-    return _linearized_core(
-        fmap, theta, batch, y_batch, batch.Z @ (M + M.T), float(np.trace(M)), n_total
-    )
+    return _linearized_core(fmap, theta, batch, y_batch, M + M.T, n_total)
 
 
 def minimax_sample_objective(

@@ -299,18 +299,18 @@ TRACKER_NPD = (
     " not positive definite (failing pivot %d)"
 )
 # scgd on the blow-up recipe: (draw, rate, reason before the tracker's
-# eigenvalues, diverge_step), or a run that finishes its 3 epochs; the
-# covariance draw at rate 1e2 is test_scgd_blow_up_names_its_overflow
+# eigenvalues, diverge_step), or a run that finishes its 3 epochs
 SCGD_RECIPE = [
     ("weight", 1e-3, None, None),
     ("weight", 1e-2, None, None),
     ("weight", 0.1, TRACKER_NPD % (4, 3), 5),
     ("weight", 1.0, TRACKER_NPD % (4, 3), 5),
-    ("weight", 1e2, TRACKER_NPD % (3, 2), 4),
+    ("weight", 1e2, TRACKER_NPD % (3, 3), 4),
     ("covariance", 1e-3, None, None),
     ("covariance", 1e-2, None, None),
     ("covariance", 0.1, TRACKER_NPD % (5, 3), 6),
-    ("covariance", 1.0, TRACKER_NPD % (3, 3), 4),
+    ("covariance", 1.0, TRACKER_NPD % (4, 2), 5),
+    ("covariance", 1e2, TRACKER_NPD % (3, 2), 4),
 ]
 
 
@@ -446,8 +446,9 @@ class TestRunExperiment:
         assert rec.diverge_step == 14 * rec.diverge_epoch
 
     def test_scgd_blow_up_names_its_overflow(self, tmp_path):
-        # scgd has no coordinate box: its step overflows under the step
-        # loop's errstate, and the reason is that overflow, not a later symptom
+        # scgd has no coordinate box: past the recipe's rates its step
+        # overflows under the step loop's errstate, and the reason is that
+        # overflow, not a later symptom
         cfg = ExperimentConfig(
             data_path=covariance_draw_csv(SynthSpec(n=60, p=2, d=2, sigma2=0.5, seed=0), tmp_path),
             feature_map="mlp",
@@ -455,16 +456,16 @@ class TestRunExperiment:
             mlp_out=3,
             batch_size=8,
             optimizer="scgd",
-            learning_rate=1e2,
+            learning_rate=1e12,
             epochs=3,
         )
         rec = run_experiment(cfg)
         assert rec.diverged
         assert rec.diverge_reason == (
             "FloatingPointError: overflow encountered in matmul; tracker eigenvalues"
-            " 2.14e+51 to 5.85e+67, so rounding decides its factorization"
+            " -4.93e+27 to 1.65e+45, so rounding decides its factorization"
         )
-        assert (rec.diverge_epoch, rec.diverge_step) == (1, 4)
+        assert (rec.diverge_epoch, rec.diverge_step) == (1, 3)
 
     @pytest.mark.parametrize(
         "draw, rate, head, step", SCGD_RECIPE, ids=["%s-%g" % case[:2] for case in SCGD_RECIPE]

@@ -20,8 +20,11 @@ Its checker recomputes features from a record's flat parameters in its own
 numpy, and its layer sweep builds and steps each rule itself. The tests at
 the end pin that those names are still the ones a run calls, that the flat
 layout is the one the checker reads, and that the sweep still steps.
+
+No module but ``__init__`` imports a name that it neither uses nor exports.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -345,6 +348,43 @@ def test_every_exported_name_resolves():
     for name, module in _modules().items():
         missing = [x for x in getattr(module, "__all__", ()) if not hasattr(module, x)]
         assert not missing, "stochgp.%s.__all__ names undefined %s" % (name, missing)
+
+
+def _bound_by_imports(tree: ast.Module) -> dict:
+    """{name: line} of every name a module-level or nested import binds, bar __future__'s."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _names_read(tree: ast.Module) -> set:
+    """Every name the module reads (annotations too, being unquoted), and its __all__."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return read
+
+
+def test_no_module_imports_a_name_it_neither_uses_nor_exports():
+    # __init__ imports to re-export; every other import must be read somewhere
+    for path in sorted((SRC / "stochgp").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = _names_read(tree)
+        unused = {name: line for name, line in _bound_by_imports(tree).items() if name not in read}
+        assert not unused, "%s imports names it does not use: %s" % (path.name, unused)
 
 
 def test_no_training_module_holds_an_oracle():

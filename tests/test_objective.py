@@ -73,6 +73,14 @@ class TestHyperParams:
         with pytest.raises(ValueError, match="theta vector has shape"):
             short.with_flat(np.array([1.0, 2.0, 3.0]))
 
+    def test_points_compare_and_hash_by_identity(self):
+        # comparing the arrays field by field has no one truth value, and an
+        # array has no hash: a point is equal only to itself
+        theta = HyperParams(np.zeros(2), np.ones(3), 0.5)
+        same = theta.with_flat(theta.flat)
+        assert theta == theta and theta != same
+        assert len({theta, same, theta}) == 2
+
     def test_rejects_matrix_weights(self):
         with pytest.raises(ValueError, match="1-d"):
             HyperParams(np.zeros((2, 2)), LinearMap(2).init_params(0), 1.0)
