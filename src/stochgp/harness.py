@@ -22,8 +22,8 @@ Every pass over the data outside the steps (the start of ``minimax`` and
 ``scgd``, each evaluation and the final test prediction) runs over row blocks
 of at most max(1, BLOCK_FLOATS // d) rows (``stochgp.objective``). So beyond
 the data and a step's own arrays, a run holds O(block (hidden + d) + d^2)
-floats, however many rows it has. A single block does the arithmetic of a
-whole-matrix pass bit for bit; more blocks change only the summation order.
+floats, however many rows it has. One block is a whole-matrix pass bit for
+bit; more move sums' order and MLP features' rounding (within 1e-12 relative).
 
 A run is marked diverged when a step errors out, the evaluated loss is
 non-finite, or the gradient norm at evaluation exceeds 1e12; diverged runs
@@ -33,9 +33,8 @@ under np.errstate(over="raise", invalid="raise", divide="raise"), so a
 floating-point overflow, invalid operation or division by zero in a step is
 such an error and names itself; underflow stays silent. The evaluation runs
 outside; when it raises, the reason is "non-finite NLL" followed by the
-exception's class and message. When an ``scgd`` step raised, the reason
-adds its tracker's extreme eigenvalues, and "so rounding decides its
-factorization" when the smaller is <= 0 or their ratio exceeds 1/eps.
+exception's class and message. ``scgd_step`` itself, for every caller,
+adds its incoming tracker's conditioning to any error its update raises.
 """
 
 from __future__ import annotations
@@ -457,29 +456,50 @@ def run_experiment(cfg: ExperimentConfig, rate: float | None = None) -> RunRecor
     return _train(cfg, _prepare(cfg), rate)
 
 
+def _start(cfg: ExperimentConfig, prep: _Prepared, theta: HyperParams, rate: float, rng):
+    """Start cfg's rule at theta; return its step (theta, idx, a_t, b_t) -> theta.
+
+    The rule's state lives in the closure, which calls the rules by this module's names.
+    """
+    X, y, fmap, n = prep.X, prep.y, prep.fmap, len(prep.X)
+    if cfg.optimizer == "bsgd":
+        return lambda theta, idx, a_t, b_t: bsgd_step(fmap, theta, X, y, idx, a_t, cfg.sigma_min)
+    if cfg.optimizer == "scgd":
+        state = scgd_init(fmap, theta, X)
+
+        def scgd(theta, idx, a_t, b_t):
+            nonlocal state
+            state = scgd_step(fmap, state, X, y, idx, a_t, b_t, cfg.sigma_min)
+            return state.theta
+
+        return scgd
+    size = min(cfg.batch_size, n)
+    seed_idx = rng.integers(0, n, size=size, dtype=np.int64) if cfg.streaming_init else None
+    zeta, dual = minimax_init(fmap, theta, X, batch_indices=seed_idx)
+    mm_cfg = MinimaxConfig(
+        rate, cfg.dual_rate, cfg.penalty, cfg.sigma_min, cfg.coord_bound, cfg.eig_bound
+    )
+
+    def minimax(theta, idx, a_t, b_t):
+        nonlocal zeta, dual, mm_cfg
+        idx2 = idx if cfg.share_batch else rng.integers(0, n, size=idx.size, dtype=np.int64)
+        if a_t != mm_cfg.primal_rate:  # every step under "polynomial"
+            mm_cfg = replace(mm_cfg, primal_rate=a_t)
+        zeta, dual = minimax_step(fmap, zeta, dual, X, y, idx, idx2, mm_cfg)
+        return zeta.theta
+
+    return minimax
+
+
 def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
     """Train at one rate on prepared data; nothing in ``prep`` is modified."""
-    X, y, fmap, evaluator = prep.X, prep.y, prep.fmap, prep.evaluator
-    n, d = X.shape[0], fmap.output_dim
-    theta = HyperParams(np.zeros(d), fmap.init_params(cfg.init_seed), cfg.init_sigma2)
+    fmap, evaluator, n = prep.fmap, prep.evaluator, len(prep.X)
+    theta = HyperParams(np.zeros(fmap.output_dim), fmap.init_params(cfg.init_seed), cfg.init_sigma2)
     record = RunRecord(config=_config_echo(cfg), rate=rate)
 
     rng = np.random.default_rng(cfg.batch_seed)
     schedule = Schedule(cfg.schedule, rate, cfg.b0)
-
-    mm_state = mm_dual = scgd_state = None
-    if cfg.optimizer == "minimax":
-        seed_idx = (
-            rng.integers(0, n, size=min(cfg.batch_size, n), dtype=np.int64)
-            if cfg.streaming_init
-            else None
-        )
-        mm_state, mm_dual = minimax_init(fmap, theta, X, batch_indices=seed_idx)
-        mm_cfg = MinimaxConfig(
-            rate, cfg.dual_rate, cfg.penalty, cfg.sigma_min, cfg.coord_bound, cfg.eig_bound
-        )
-    elif cfg.optimizer == "scgd":
-        scgd_state = scgd_init(fmap, theta, X)
+    step = _start(cfg, prep, theta, rate, rng)
 
     best = None
     t = 0
@@ -491,27 +511,8 @@ def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for idx in _draw_epoch(n, cfg.batch_size, cfg.batch_mode, rng):
                 t += 1
-                a_t, b_t = schedule_at(schedule, t)
                 try:
-                    if cfg.optimizer == "minimax":
-                        idx2 = (
-                            idx
-                            if cfg.share_batch
-                            else rng.integers(0, n, size=idx.size, dtype=np.int64)
-                        )
-                        if a_t != mm_cfg.primal_rate:  # every step under "polynomial"
-                            mm_cfg = replace(mm_cfg, primal_rate=a_t)
-                        mm_state, mm_dual = minimax_step(
-                            fmap, mm_state, mm_dual, X, y, idx, idx2, mm_cfg
-                        )
-                        theta = mm_state.theta
-                    elif cfg.optimizer == "scgd":
-                        scgd_state = scgd_step(
-                            fmap, scgd_state, X, y, idx, a_t, b_t, cfg.sigma_min
-                        )
-                        theta = scgd_state.theta
-                    else:
-                        theta = bsgd_step(fmap, theta, X, y, idx, a_t, cfg.sigma_min)
+                    theta = step(theta, idx, *schedule_at(schedule, t))
                 except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
                     reason = "%s: %s" % (type(exc).__name__, exc)
                     break
@@ -529,12 +530,6 @@ def _train(cfg: ExperimentConfig, prep: _Prepared, rate: float) -> RunRecord:
                 elif grad_norm > GRAD_DIVERGENCE_NORM:
                     reason = "gradient norm %g above 1e12" % grad_norm
                     nll = math.inf
-        elif cfg.optimizer == "scgd":
-            # a step raised; hi / lo > 1/eps multiplied out, since lo / eps can overflow
-            lo, hi = np.linalg.eigvalsh(scgd_state.tracked_info)[[0, -1]]
-            reason += "; tracker eigenvalues %.3g to %.3g" % (lo, hi)
-            if lo <= 0.0 or hi * np.finfo(np.float64).eps > lo:
-                reason += ", so rounding decides its factorization"
         record.epochs.append({"epoch": epoch, "nll": nll, "wall_ms": wall_ms})
         if reason is not None:
             # counted once, here: the step loop never looks at the bound

@@ -371,23 +371,30 @@ def scgd_step(
     factor as ``bsgd_step`` forms its own (no repair); the tracker then takes
     a convex step toward the rescaled batch information sum at the pre-step
     parameters, which keeps it positive definite in exact arithmetic. A
-    failed factorization names the iteration.
+    failed factorization names the iteration. Any error the update raises
+    gets the incoming tracker's extreme eigenvalues, and "so rounding decides
+    its factorization" when the smaller is <= 0 or their ratio exceeds 1/eps.
     """
     if not 0.0 < b_t <= 1.0:
         raise ValueError("averaging weight must lie in (0, 1]")
     if a_t < 0.0:
         raise ValueError("step size must be non-negative")
-    n = len(X)
-    theta = state.theta
-
-    M = spd_inverse(state.tracked_info, "tracked information matrix at iteration %d" % state.step)
-
-    fb = fmap.forward(theta.feature_params, _rows(X, batch))
-    g = _linearized_core(fmap, theta, fb, _rows(y, batch), M + M.T, n)
-    theta_next = _descend(theta, g, a_t, sigma_min)
-
-    tracked = (1.0 - b_t) * state.tracked_info + b_t * _batch_info(fb.Z, n, theta.noise_variance)
-    return SCGDState(theta_next, tracked, state.step + 1)
+    n, theta, F = len(X), state.theta, state.tracked_info
+    try:
+        M = spd_inverse(F, "tracked information matrix at iteration %d" % state.step)
+        fb = fmap.forward(theta.feature_params, _rows(X, batch))
+        g = _linearized_core(fmap, theta, fb, _rows(y, batch), M + M.T, n)
+        theta_next = _descend(theta, g, a_t, sigma_min)
+        tracked = (1.0 - b_t) * F + b_t * _batch_info(fb.Z, n, theta.noise_variance)
+        return SCGDState(theta_next, tracked, state.step + 1)
+    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        # eigvalsh sets its own errstate; hi/lo > 1/eps multiplied out, as lo/eps can overflow
+        lo, hi = np.linalg.eigvalsh(F)[[0, -1]]
+        msg = "%s; tracker eigenvalues %.3g to %.3g" % (exc, lo, hi)
+        if lo <= 0.0 or hi * np.finfo(np.float64).eps > lo:
+            msg += ", so rounding decides its factorization"
+        exc.args = (msg,)
+        raise
 
 
 def bsgd_step(

@@ -8,7 +8,7 @@ import numpy as np
 
 from stochgp._linalg import chol_lower, chol_solve
 from stochgp.features import FeatureMap
-from stochgp.objective import _feature_blocks, _ridge_system
+from stochgp.objective import _check_noise, _feature_blocks, _ridge_system
 
 __all__ = ["Posterior", "posterior", "rmse"]
 
@@ -40,9 +40,7 @@ def posterior(
     mean equals a run's marginal test prediction, whose ridge weights come
     from the evaluator's factor of the same system.
     """
-    s2 = float(sigma2)
-    if s2 <= 0.0:
-        raise ValueError("noise variance must be positive, got %g" % s2)
+    s2 = _check_noise(sigma2)
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
     F, Zty, _ = _ridge_system(fmap, feature_params, s2, X_train, y_train)

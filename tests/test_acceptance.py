@@ -361,7 +361,7 @@ def test_07_step_cost_scaling():
     line = _report(
         ok,
         "07 step cost scaling",
-        "time slope minimax %.2f, scgd %.2f (need within [2.5, 3.5]); "
+        "time slope minimax %.3f, scgd %.3f (need within [2.5, 3.5]); "
         "peak-alloc/d^2 spread minimax x%.2f, scgd x%.2f (need <= 2)"
         % (slopes["minimax"], slopes["scgd"], spreads["minimax"], spreads["scgd"]),
     )

@@ -537,6 +537,20 @@ class TestRunExperiment:
             14,
         )
 
+    def test_scgd_evaluation_failure_names_no_tracker(self, monkeypatch):
+        # the tracker clause is scgd_step's own, so an evaluation that raises
+        # after a clean scgd epoch keeps its class and message bare
+        def raising(self, theta):
+            raise np.linalg.LinAlgError("evaluation information matrix is singular")
+
+        monkeypatch.setattr(_Evaluator, "nll", raising)
+        rec = run_experiment(_small_cfg())
+        assert (rec.diverge_reason, rec.diverge_epoch, rec.diverge_step) == (
+            "non-finite NLL: LinAlgError: evaluation information matrix is singular",
+            1,
+            14,
+        )
+
     @pytest.mark.parametrize(
         "optimizer, reason, step",
         [

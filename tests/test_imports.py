@@ -535,12 +535,15 @@ def test_a_run_calls_its_step_rule_and_projection_by_module_attribute(monkeypatc
 
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_a_run_evaluates_and_starts_through_the_names_the_tracer_wraps(monkeypatch, optimizer):
-    # harness.eval_s_per_epoch times stochgp.harness._Evaluator.nll, and
+    # harness.eval_s_per_epoch times stochgp.harness._Evaluator.nll,
     # objective.info_matrix_s the start of minimax and scgd at stochgp.optim's
-    # info_matrix; a blocked pass that bypassed either would leave them empty
+    # info_matrix, and optim.init_s the starts at stochgp.harness's
+    # minimax_init and scgd_init; a pass that bypassed one would leave it empty
     counts = {}
     _count_calls(monkeypatch, stochgp.harness._Evaluator, "nll", counts)
     _count_calls(monkeypatch, stochgp.optim, "info_matrix", counts)
+    for name in ("minimax_init", "scgd_init"):
+        _count_calls(monkeypatch, stochgp.harness, name, counts)
     record = run_experiment(
         ExperimentConfig(
             synth=SynthSpec(n=40, p=3, d=3, sigma2=0.5),
@@ -551,5 +554,31 @@ def test_a_run_evaluates_and_starts_through_the_names_the_tracer_wraps(monkeypat
         )
     )
     assert not record.diverged
-    starts = {} if optimizer == "bsgd" else {"info_matrix": 1}
+    starts = {} if optimizer == "bsgd" else {"info_matrix": 1, optimizer + "_init": 1}
     assert counts == {"nll": 2, **starts}
+
+
+def test_the_epoch_loop_names_no_step_rule():
+    # harness._start builds each rule's step once; _train only calls it, so
+    # a rule, its state or its choice named in the loop would be a second seam
+    tree = ast.parse((SRC / "stochgp" / "harness.py").read_text())
+    train = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_train"
+    )
+    rules = {"minimax", "scgd", "bsgd"}
+    named = set()
+    for node in ast.walk(train):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    assert "step" in named  # the walk sees the loop's one call
+    forbidden = sorted(
+        name
+        for name in named
+        if name in ("optimizer", "tracked_info", "zeta", "dual", "mm_cfg", "mm_state", "mm_dual")
+        or any(rule in name for rule in rules)
+    )
+    assert not forbidden, "_train names %s" % forbidden

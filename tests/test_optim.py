@@ -570,7 +570,8 @@ class TestSCGD:
 
     def test_indefinite_tracker_is_named_not_repaired(self, monkeypatch):
         # the step factors its tracker once; an indefinite one raises from
-        # that factorization, named with the iteration that read it
+        # that factorization, named with the iteration that read it and the
+        # tracker's extreme eigenvalues
         fmap, theta, X, y = instance(32, n=6)
         state = SCGDState(theta, np.diag([1.0, -0.5]), 3)
         calls = Counter()
@@ -578,7 +579,8 @@ class TestSCGD:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             scgd_step(fmap, state, X, y, np.array([0, 1]), a_t=1e-4, b_t=0.5)
         assert str(exc.value) == (
-            "tracked information matrix at iteration 3: not positive definite (failing pivot 2)"
+            "tracked information matrix at iteration 3: not positive definite (failing pivot 2);"
+            " tracker eigenvalues -0.5 to 1, so rounding decides its factorization"
         )
         assert calls["_potrf"] == 1
 
